@@ -17,7 +17,8 @@ from itertools import combinations_with_replacement, permutations
 from typing import Optional, Sequence
 
 from .allocation import check_pieces, unassigned_gaps
-from .cake import ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation
+from .cake import (ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation,
+                   open_unit)
 from .hatvalue import HALF, QUARTER, hat_eval, is_bifurcating
 
 
@@ -61,26 +62,20 @@ def values_matrix(pieces: Sequence[Piece], valuations: Sequence[Valuation]) -> l
     return [[v.value_of(p) for p in pieces] for v in valuations]
 
 
+def _pairs(values: Sequence[Sequence[Fraction]]):
+    """(i, j, v_i(own), v_i(j's piece)) for every ordered pair i != j, row by row."""
+    return ((i, j, row[i], other) for i, row in enumerate(values)
+            for j, other in enumerate(row) if j != i)
+
+
 def max_envy_of(values: Sequence[Sequence[Fraction]]) -> Fraction:
     """Largest amount any agent prefers another's piece over its own (>= 0)."""
-    worst = ZERO
-    for i, row in enumerate(values):
-        for j, val in enumerate(row):
-            if j != i and val - row[i] > worst:
-                worst = val - row[i]
-    return worst
+    return max([ZERO, *(other - own for _, _, own, other in _pairs(values))])
 
 
 def min_ratio_of(values: Sequence[Sequence[Fraction]]) -> Optional[Fraction]:
     """Smallest v_i(own)/v_i(other) over pairs where the other piece has value."""
-    best: Optional[Fraction] = None
-    for i, row in enumerate(values):
-        for j, val in enumerate(row):
-            if j != i and val > 0:
-                r = row[i] / val
-                if best is None or r < best:
-                    best = r
-    return best
+    return min((own / other for _, _, own, other in _pairs(values) if other > 0), default=None)
 
 
 def _agent(i: int) -> str:
@@ -98,57 +93,28 @@ def check_structure(pieces: Sequence[Piece]) -> list[Check]:
     ]
 
 
-def check_theorem_bounds(pieces: Sequence[Piece], valuations: Sequence[Valuation],
+def check_theorem_bounds(pieces: Sequence[Piece], values: Sequence[Sequence[Fraction]],
                          delta: Fraction) -> list[Check]:
-    """Endpoint guarantees of the connected solver, checked exactly."""
-    n = len(valuations)
-    values = values_matrix(pieces, valuations)
+    """Structure plus the connected solver's endpoint guarantees, on the value matrix."""
+    n = len(values)
     bound = QUARTER + 2 * delta / n
-    checks = check_structure(pieces)
-
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            if j != i and values[i][j] - values[i][i] > bound:
-                bad = f"{_agent(i)} envies {_agent(j)} by {values[i][j] - values[i][i]} > {bound}"
-                break
-        if bad:
-            break
-    checks.append(Check("additive_envy_bound", bad is None, bad))
-
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            if j != i and values[i][i] < values[i][j] / 2 - delta / n:
-                bad = (f"{_agent(i)} holds {values[i][i]}"
-                       f" < {values[i][j]}/2 - {delta}/{n}")
-                break
-        if bad:
-            break
-    checks.append(Check("half_value_bound", bad is None, bad))
-    return checks
+    envy = next((f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}"
+                 for i, j, own, other in _pairs(values) if other - own > bound), None)
+    half = next((f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}"
+                 for i, j, own, other in _pairs(values) if own < other / 2 - delta / n), None)
+    return check_structure(pieces) + [Check("additive_envy_bound", envy is None, envy),
+                                      Check("half_value_bound", half is None, half)]
 
 
-def check_mult_bounds(pieces: Sequence[Piece], valuations: Sequence[Valuation],
-                      c: Fraction) -> list[Check]:
-    """Multiplicative-mode guarantees: pairwise ratio and the 1/(4n) floor."""
-    n = len(valuations)
-    values = values_matrix(pieces, valuations)
-    bad = None
-    for i in range(n):
-        for j in range(n):
-            if j != i and (2 + c) * values[i][i] < values[i][j]:
-                bad = f"(2+{c}) * {values[i][i]} < {values[i][j]} for {_agent(i)} vs {_agent(j)}"
-                break
-        if bad:
-            break
-    checks = [Check("mult_ratio_bound", bad is None, bad)]
-
+def check_mult_bounds(values: Sequence[Sequence[Fraction]], c: Fraction) -> list[Check]:
+    """Multiplicative-mode guarantees on the value matrix: pairwise ratio and the 1/(4n) floor."""
+    n = len(values)
+    ratio = next((f"(2+{c}) * {own} < {other} for {_agent(i)} vs {_agent(j)}"
+                  for i, j, own, other in _pairs(values) if (2 + c) * own < other), None)
     floor = Fraction(1, 4 * n)
-    bad = next((f"{_agent(i)} holds {values[i][i]} < 1/{4 * n}"
+    low = next((f"{_agent(i)} holds {values[i][i]} < 1/{4 * n}"
                 for i in range(n) if values[i][i] < floor), None)
-    checks.append(Check("value_floor", bad is None, bad))
-    return checks
+    return [Check("mult_ratio_bound", ratio is None, ratio), Check("value_floor", low is None, low)]
 
 
 def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuation],
@@ -271,21 +237,63 @@ def check_iteration_bounds(trace, budget: Fraction) -> list[Check]:
     ]
 
 
+def check_grid_size(grid: Sequence[Fraction], n: int) -> Check:
+    """The bounded solver's grid has at most n+1 points, so n pieces cover it."""
+    return Check("grid_size_bound", len(grid) <= n + 1, f"{len(grid)} points, n+1 = {n + 1}")
+
+
+PARAMS = ("delta", "c", "epsilon")
+
+
 def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
+                 params: Optional[dict] = None,
                  checks: Sequence[Check] = (),
                  counter: Optional[QueryCounter] = None,
-                 trace=None,
-                 iteration_budget: Optional[Fraction] = None) -> AuditReport:
-    """Assemble the report: value matrix, envy/ratio summaries, all checks."""
+                 trace=None) -> AuditReport:
+    """Audit an allocation against the parameters it was solved with.
+
+    The exact value matrix is built once; the envy/ratio summaries and every
+    allocation check read it.  The report lists the caller's run-time
+    ``checks`` first, then what each key of ``params`` implies:
+
+    * always -- pieces_disjoint, complete_cover;
+    * ``delta`` (c/8 when only ``c`` is given) -- additive_envy_bound,
+      half_value_bound;
+    * ``c`` -- mult_ratio_bound, value_floor;
+    * ``epsilon`` -- envy_within_epsilon;
+
+    then, given a trace, the n^2/delta loop budgets (when delta is known) and
+    hat-value monotonicity (unless tracing was off).  Raises
+    :class:`ValidationError` for an unknown key, a value outside (0,1), or
+    ``delta`` other than ``c/8`` when both are given.
+    """
+    params = params or {}
+    unknown = sorted(set(params) - set(PARAMS))
+    if unknown:
+        raise ValidationError(f"unknown parameter(s) {unknown}; expected some of {PARAMS}")
+    params = {key: open_unit(key, value) for key, value in params.items()}
+    c, epsilon = params.get("c"), params.get("epsilon")
+    delta = params.get("delta", None if c is None else c / 8)
+    if c is not None and delta != c / 8:
+        raise ValidationError(f"delta must equal c/8 = {c / 8}, got {delta}")
+
     values = values_matrix(pieces, valuations)
+    max_envy = max_envy_of(values)
     all_checks = list(checks)
-    if trace is not None and iteration_budget is not None:
-        all_checks += check_iteration_bounds(trace, iteration_budget)
+    all_checks += (check_structure(pieces) if delta is None
+                   else check_theorem_bounds(pieces, values, delta))
+    if c is not None:
+        all_checks += check_mult_bounds(values, c)
+    if epsilon is not None:
+        all_checks.append(Check("envy_within_epsilon", max_envy <= epsilon,
+                                None if max_envy <= epsilon else f"max envy {max_envy} > {epsilon}"))
+    if trace is not None and delta is not None:
+        all_checks += check_iteration_bounds(trace, Fraction(len(valuations) ** 2) / delta)
     if trace is not None and getattr(trace, "level", "off") != "off":
         all_checks.append(check_trace_monotonicity(trace))
     report = AuditReport(
         values=values,
-        max_envy=max_envy_of(values),
+        max_envy=max_envy,
         min_ratio=min_ratio_of(values),
         checks=all_checks,
     )

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .audit import AuditReport, Check, build_report, check_structure, max_envy_of, values_matrix
+from .audit import AuditReport, build_report, check_grid_size
 from .cake import (
     ONE,
     ZERO,
@@ -28,6 +28,7 @@ from .cake import (
     Valuation,
     cut_query,
     eval_query,
+    open_unit,
 )
 
 
@@ -39,9 +40,7 @@ def cut_point_grid(v: Valuation, epsilon: Fraction,
     after its predecessor, so consecutive points bound the value of any
     sub-interval lying between them by epsilon.
     """
-    epsilon = Fraction(epsilon)
-    if not (ZERO < epsilon < ONE):
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
+    epsilon = open_unit("epsilon", epsilon)
     steps = math.ceil(1 / epsilon)
     points = [ZERO]
     for _ in range(steps - 1):
@@ -62,9 +61,7 @@ def solve_bounded(instance: Instance, epsilon: Fraction) -> tuple[list[Piece], A
     problem = instance.first_violation()
     if problem is not None:
         raise ValidationError(problem)
-    epsilon = Fraction(epsilon)
-    if not (ZERO < epsilon < ONE):
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
+    epsilon = open_unit("epsilon", epsilon)
     n = instance.n
     distinct = instance.distinct_ids()
     d = len(distinct)
@@ -77,7 +74,6 @@ def solve_bounded(instance: Instance, epsilon: Fraction) -> tuple[list[Piece], A
     for vid in distinct:
         marks.update(cut_point_grid(instance.valuations[vid], epsilon, counter))
     grid = sorted(marks)
-    assert len(grid) <= n + 1, f"{len(grid)} grid points for {n} agents"
     segments = [Interval(a, b) for a, b in zip(grid, grid[1:])]
 
     valuations = instance.agent_valuations()
@@ -89,12 +85,7 @@ def solve_bounded(instance: Instance, epsilon: Fraction) -> tuple[list[Piece], A
         best = max(remaining, key=lambda s: eval_query(v, s.lo, s.hi, counter))
         pieces[i] = best
         remaining.remove(best)
-    assert not remaining, "more segments than agents"
 
-    checks = check_structure(pieces)
-    envy = max_envy_of(values_matrix(pieces, valuations))
-    checks.append(Check("envy_within_epsilon", envy <= epsilon,
-                        None if envy <= epsilon else f"max envy {envy} > {epsilon}"))
-    checks.append(Check("grid_size_bound", True, f"{len(grid)} points, n+1 = {n + 1}"))
-    report = build_report(pieces, valuations, checks=checks, counter=counter)
+    report = build_report(pieces, valuations, params={"epsilon": epsilon},
+                          checks=[check_grid_size(grid, n)], counter=counter)
     return pieces, report

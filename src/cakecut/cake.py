@@ -31,6 +31,14 @@ class ValidationError(ValueError):
     """Malformed input: instance, allocation file, or parameter out of range."""
 
 
+def open_unit(name: str, x) -> Fraction:
+    """The parameter ``x`` as a Fraction; ValidationError unless 0 < x < 1."""
+    x = Fraction(x)
+    if not (ZERO < x < ONE):
+        raise ValidationError(f"{name} must lie in (0,1), got {x}")
+    return x
+
+
 class Interval(NamedTuple):
     """A closed sub-interval [lo, hi] of the cake, with lo <= hi."""
 

@@ -38,13 +38,7 @@ def is_bifurcating(v: Valuation, piece: Piece, counter: Optional[QueryCounter] =
     The empty piece is never bifurcating.  Checks short-circuit, so between
     one and three eval queries are issued.
     """
-    if piece is None:
-        return False
-    if eval_query(v, piece.lo, piece.hi, counter) < QUARTER:
-        return False
-    if eval_query(v, ZERO, piece.lo, counter) > HALF:
-        return False
-    return eval_query(v, piece.hi, ONE, counter) <= HALF
+    return hat_eval(v, piece, counter).bifurcating
 
 
 def hat_eval(v: Valuation, piece: Piece, counter: Optional[QueryCounter] = None) -> HatValue:

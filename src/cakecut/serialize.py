@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .audit import AuditReport, Check
+from .audit import PARAMS, AuditReport
 from .cake import Instance, Interval, Piece, ValidationError, Valuation
 
 _FRACTION_RE = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
@@ -155,8 +155,7 @@ def allocation_from_obj(obj) -> tuple[list[Piece], dict[str, Fraction]]:
         if not (0 <= lo <= hi <= 1):
             raise ValidationError(f"agent {agent}: [{lo}, {hi}] is not a sub-interval of [0,1]")
         pieces[agent - 1] = Interval(lo, hi)
-    params = {key: parse_fraction(obj[key])
-              for key in ("delta", "c", "epsilon") if key in obj}
+    params = {key: parse_fraction(obj[key]) for key in PARAMS if key in obj}
     return pieces, params
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .audit import AuditReport, build_report, check_mult_bounds, check_phase_invariants, check_theorem_bounds
+from .audit import AuditReport, build_report, check_phase_invariants
 from .cake import (
     ONE,
     ZERO,
@@ -43,6 +43,7 @@ from .cake import (
     ValidationError,
     Valuation,
     cut_query,
+    open_unit,
 )
 from .allocation import envy_edges, hat_matrix, resolve_cycles, unassigned_gaps
 from .hatvalue import hat_cut, hat_eval
@@ -58,11 +59,9 @@ class SolverConfig:
 
     delta: Fraction
     trace_level: str = "phase_boundaries"
-    check_invariants: bool = True
 
     def __post_init__(self):
-        if not (ZERO < self.delta < ONE):
-            raise ValidationError(f"delta must lie in (0,1), got {self.delta}")
+        object.__setattr__(self, "delta", open_unit("delta", self.delta))
         if self.trace_level not in TRACE_LEVELS:
             raise ValidationError(f"unknown trace level {self.trace_level!r}")
 
@@ -428,7 +427,9 @@ def solve(instance: Instance, config: SolverConfig,
 
     Returns the complete allocation (one piece per agent, jointly covering
     [0,1]), the execution trace, and an audit report in which every proved
-    bound has been re-checked with exact arithmetic.
+    bound has been re-checked with exact arithmetic.  With ``mult_c`` (and
+    ``config.delta == mult_c/8``, as ``solve_mult`` sets it) the report also
+    audits the multiplicative bounds.
     """
     problem = instance.first_violation()
     if problem is not None:
@@ -436,39 +437,29 @@ def solve(instance: Instance, config: SolverConfig,
     valuations = instance.agent_valuations()
     counter = QueryCounter()
     trace = Trace(level=config.trace_level)
-    checks = []
 
     partial = phase_one(instance, config, counter, trace)
-    if config.check_invariants:
-        checks += check_phase_invariants(partial, valuations, config.delta, "phase1_end")
+    checks = check_phase_invariants(partial, valuations, config.delta, "phase1_end")
     partial = phase_two(partial, instance, config, counter, trace)
-    if config.check_invariants:
-        checks += check_phase_invariants(partial, valuations, config.delta, "phase2_end")
+    checks += check_phase_invariants(partial, valuations, config.delta, "phase2_end")
     allocation = merge_final(partial)
     trace.snap("final", allocation, [],
                [hat_eval(v, p).value for v, p in zip(valuations, allocation)])
 
-    checks += check_theorem_bounds(allocation, valuations, config.delta)
+    params = {"delta": config.delta}
     if mult_c is not None:
-        checks += check_mult_bounds(allocation, valuations, mult_c)
-    report = build_report(
-        allocation, valuations, checks=checks, counter=counter, trace=trace,
-        iteration_budget=Fraction(instance.n ** 2) / config.delta,
-    )
+        params["c"] = mult_c
+    report = build_report(allocation, valuations, params=params, checks=checks,
+                          counter=counter, trace=trace)
     return allocation, trace, report
 
 
 def solve_mult(instance: Instance, c: Fraction,
-               trace_level: str = "phase_boundaries",
-               check_invariants: bool = True) -> tuple[list[Piece], Trace, AuditReport]:
+               trace_level: str = "phase_boundaries") -> tuple[list[Piece], Trace, AuditReport]:
     """Multiplicative mode: run with delta = c/8.
 
     The output allocation satisfies ``(2+c) * v_i(I_i) >= v_i(I_j)`` for all
     pairs and gives every agent at least ``1/(4n)``; both are audited.
     """
-    c = Fraction(c)
-    if not (ZERO < c < ONE):
-        raise ValidationError(f"c must lie in (0,1), got {c}")
-    config = SolverConfig(delta=c / 8, trace_level=trace_level,
-                          check_invariants=check_invariants)
-    return solve(instance, config, mult_c=c)
+    c = open_unit("c", c)
+    return solve(instance, SolverConfig(delta=c / 8, trace_level=trace_level), mult_c=c)

@@ -7,11 +7,12 @@ must produce failing checks with informative witnesses.
 
 from fractions import Fraction
 
+import cakecut.audit as audit
 import pytest
-from cakecut import (Instance, SolverConfig, ValidationError, Valuation,
+from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
                      brute_force_min_envy, build_report, check_mult_bounds,
                      check_phase_invariants, check_theorem_bounds, interval,
-                     solve)
+                     solve, solve_bounded, solve_mult)
 from cakecut.audit import (check_iteration_bounds, check_trace_monotonicity,
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
@@ -19,6 +20,7 @@ from cakecut.cake import QueryCounter
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 LEFTY = Valuation(["0", "1/2", "1"], ["2", "0"])
 DELTA = Fraction(1, 10)
+TWO_UNIFORM = [UNIFORM, UNIFORM]
 
 
 def test_values_matrix_and_summaries():
@@ -38,7 +40,8 @@ def test_min_ratio_none_when_nothing_to_compare():
 def test_theorem_bounds_flag_lopsided_allocations():
     # uniform agent 1 holds a sliver: envy 9/10 - 1/10 over the bound
     pieces = [interval(0, "1/10"), interval("1/10", 1)]
-    checks = {c.name: c for c in check_theorem_bounds(pieces, [UNIFORM, UNIFORM], DELTA)}
+    checks = {c.name: c for c in
+              check_theorem_bounds(pieces, values_matrix(pieces, TWO_UNIFORM), DELTA)}
     assert not checks["additive_envy_bound"].passed
     assert "agent 1" in checks["additive_envy_bound"].witness
     assert not checks["half_value_bound"].passed
@@ -47,16 +50,19 @@ def test_theorem_bounds_flag_lopsided_allocations():
 
 def test_structure_checks_flag_overlap_and_gaps():
     overlap = [interval(0, "2/3"), interval("1/3", 1)]
-    names = {c.name: c.passed for c in check_theorem_bounds(overlap, [UNIFORM, UNIFORM], DELTA)}
+    names = {c.name: c.passed for c in
+             check_theorem_bounds(overlap, values_matrix(overlap, TWO_UNIFORM), DELTA)}
     assert not names["pieces_disjoint"]
     gappy = [interval(0, "1/4"), interval("3/4", 1)]
-    names = {c.name: c.passed for c in check_theorem_bounds(gappy, [UNIFORM, UNIFORM], DELTA)}
+    names = {c.name: c.passed for c in
+             check_theorem_bounds(gappy, values_matrix(gappy, TWO_UNIFORM), DELTA)}
     assert not names["complete_cover"]
 
 
 def test_mult_bounds_flag_ratio_and_floor():
     pieces = [interval(0, "1/100"), interval("1/100", 1)]
-    checks = {c.name: c for c in check_mult_bounds(pieces, [UNIFORM, UNIFORM], Fraction(1, 10))}
+    checks = {c.name: c for c in
+              check_mult_bounds(values_matrix(pieces, TWO_UNIFORM), Fraction(1, 10))}
     assert not checks["mult_ratio_bound"].passed
     assert not checks["value_floor"].passed
     assert "1/8" in checks["value_floor"].witness or "agent 1" in checks["value_floor"].witness
@@ -125,6 +131,51 @@ def test_build_report_wires_counters_and_summaries():
     assert (report.eval_count, report.cut_count) == (7, 3)
     assert report.max_envy == 0 and report.min_ratio is None
     assert report.passed and report.failures() == []
+
+
+@pytest.mark.parametrize("params, added", [
+    (None, []),
+    ({"epsilon": Fraction(1, 2)}, ["envy_within_epsilon"]),
+    ({"delta": DELTA}, ["additive_envy_bound", "half_value_bound"]),
+    ({"c": DELTA}, ["additive_envy_bound", "half_value_bound", "mult_ratio_bound", "value_floor"]),
+    ({"delta": DELTA, "epsilon": Fraction(1, 2)},
+     ["additive_envy_bound", "half_value_bound", "envy_within_epsilon"]),
+])
+def test_build_report_maps_each_parameter_to_its_checks(params, added):
+    marker = Check("caller", True)
+    report = build_report([interval(0, 1)], [UNIFORM], params=params, checks=[marker])
+    names = [c.name for c in report.checks]
+    assert names == ["caller", "pieces_disjoint", "complete_cover"] + added
+    assert report.passed
+
+
+def test_build_report_derives_the_loop_budget_from_c():
+    class Fake:
+        level = "off"
+        phase1_iterations = 81   # one agent, delta = c/8 = 1/80: budget 80
+        phase2_iterations = 80
+        cycle_rotations = 0
+
+    report = build_report([interval(0, 1)], [UNIFORM], params={"c": DELTA}, trace=Fake())
+    assert [c.name for c in report.failures()] == ["growth_iterations_within_budget"]
+
+
+@pytest.mark.parametrize("params", [
+    {"delta": Fraction(1)}, {"epsilon": Fraction(0)}, {"c": DELTA, "delta": DELTA},
+    {"eps": DELTA},
+])
+def test_build_report_rejects_malformed_parameters(params):
+    with pytest.raises(ValidationError):
+        build_report([interval(0, 1)], [UNIFORM], params=params)
+
+
+def test_each_audit_builds_one_value_matrix(monkeypatch):
+    calls = []
+    real = audit.values_matrix
+    monkeypatch.setattr(audit, "values_matrix", lambda *args: calls.append(args) or real(*args))
+    solve_mult(Instance({"l": LEFTY, "u": UNIFORM}, ["l", "u"]), DELTA)
+    solve_bounded(Instance({"u": UNIFORM}, ["u"] * 4), Fraction(1, 2))
+    assert len(calls) == 2
 
 
 class TestBruteForce:

@@ -72,3 +72,12 @@ def test_first_agents_take_their_favorites():
     pieces, _ = solve_bounded(inst, Fraction(1, 2))
     assert [str(p) for p in pieces[:2]] == ["[0, 1/2]", "[1/2, 1]"]
     assert pieces[2] is None and pieces[3] is None
+
+
+def test_an_oversize_grid_fails_the_report(monkeypatch):
+    # a grid finer than n+1 points leaves segments nobody receives
+    monkeypatch.setattr("cakecut.bounded.cut_point_grid",
+                        lambda v, eps, counter=None: [Fraction(k, 8) for k in range(9)])
+    _, report = solve_bounded(Instance({"u": UNIFORM}, ["u"] * 4), Fraction(1, 2))
+    failed = {c.name for c in report.failures()}
+    assert {"grid_size_bound", "complete_cover"} <= failed

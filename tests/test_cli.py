@@ -72,6 +72,61 @@ def test_audit_flags_a_tampered_allocation(tmp_path, capsys):
     assert "additive_envy_bound" in diagnostic["failed"]
 
 
+UNIFORM_4 = {"agents": [{"valuation": "u"}] * 4,
+             "valuations": {"u": {"breakpoints": ["0", "1"], "densities": ["1"]}}}
+
+
+def write_allocation(tmp_path, bounds, **params):
+    """An allocation file for agents 1..n holding consecutive [bounds[k], bounds[k+1]]."""
+    path = tmp_path / "alloc.json"
+    pieces = [{"agent": k + 1, "lo": lo, "hi": hi}
+              for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    path.write_text(json.dumps({"pieces": pieces, **params}))
+    return path
+
+
+def test_audit_applies_every_parameter_a_file_carries(tmp_path, capsys):
+    # epsilon = 9/10 tolerates agent 1's 7/10 against 1/10, delta = 1/10 does not:
+    # a file carrying both must get both sets of checks
+    inst = tmp_path / "uniform.json"
+    inst.write_text(json.dumps(UNIFORM_4))
+    alloc = write_allocation(tmp_path, ["0", "7/10", "4/5", "9/10", "1"],
+                             delta="1/10", epsilon="9/10")
+    code, out, err = run(["audit", str(inst), str(alloc)], capsys)
+    assert code == EXIT_AUDIT
+    assert "ok   envy_within_epsilon" in out
+    assert json.loads(err)["failed"] == ["additive_envy_bound", "half_value_bound"]
+
+
+@pytest.mark.parametrize("params", [
+    {"delta": "1/10", "epsilon": "1"},   # everything to agent 1 passes envy <= 1
+    {"epsilon": "1"},
+    {"c": "1/10", "delta": "9/10"},      # delta must be c/8 = 1/80
+    {"delta": "0"},
+    {"c": "3/2"},
+])
+def test_audit_rejects_malformed_parameters(tmp_path, capsys, params):
+    inst = tmp_path / "uniform.json"
+    inst.write_text(json.dumps(UNIFORM_4))
+    alloc = write_allocation(tmp_path, ["0", "1", "1", "1", "1"], **params)
+    code, out, err = run(["audit", str(inst), str(alloc)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_audit_rejects_a_solve_mult_file_with_a_looser_delta(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys, n=4, seed=5)
+    alloc = tmp_path / "alloc.json"
+    code, _, _ = run(["solve-mult", str(inst), "--c", "1/10", "-o", str(alloc)], capsys)
+    assert code == EXIT_OK
+    obj = json.loads(alloc.read_text())
+    obj["delta"] = "9/10"
+    alloc.write_text(json.dumps(obj))
+    code, _, err = run(["audit", str(inst), str(alloc)], capsys)
+    assert code == EXIT_INVALID
+    assert "c/8" in json.loads(err)["message"]
+
+
 def test_validation_failures_exit_2_with_json_diagnostics(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys, n=2, seed=3)
 

@@ -59,6 +59,17 @@ def test_config_validates_delta_and_trace_level():
         SolverConfig(delta=DELTA, trace_level="loud")
 
 
+def test_config_keeps_delta_exact():
+    # a float delta used as given would put float cut points on the decision
+    # path, and two uniform agents would then fail bifurcating_margin
+    uniform = Valuation(["0", "1"], ["1"])
+    for delta in ["1/10", 0.1]:
+        config = SolverConfig(delta=delta)
+        assert config.delta == Fraction(delta) and type(config.delta) is Fraction
+        _, _, report = solve(Instance({"u": uniform}, ["u", "u"]), config)
+        assert report.passed, report.failures()
+
+
 class TestTraceLevels:
     def test_off_records_nothing(self):
         _, trace, _ = solve(two_agent_instance(),
