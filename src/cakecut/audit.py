@@ -239,7 +239,8 @@ def check_iteration_bounds(trace, budget: Fraction) -> list[Check]:
 
 def check_grid_size(grid: Sequence[Fraction], n: int) -> Check:
     """The bounded solver's grid has at most n+1 points, so n pieces cover it."""
-    return Check("grid_size_bound", len(grid) <= n + 1, f"{len(grid)} points, n+1 = {n + 1}")
+    ok = len(grid) <= n + 1
+    return Check("grid_size_bound", ok, None if ok else f"{len(grid)} points, n+1 = {n + 1}")
 
 
 PARAMS = ("delta", "c", "epsilon")

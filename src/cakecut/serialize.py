@@ -38,6 +38,8 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator: {text!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ValidationError(f"fraction string too long: {exc}") from None
 
 
 def format_fraction(x: Fraction) -> str:
@@ -161,13 +163,17 @@ def allocation_from_obj(obj) -> tuple[list[Piece], dict[str, Fraction]]:
 
 def read_json(path) -> object:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path} nests JSON too deeply") from None
 
 
 def write_json(path, obj) -> None:

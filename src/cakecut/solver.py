@@ -30,6 +30,7 @@ import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .audit import AuditReport, build_report, check_phase_invariants
@@ -105,28 +106,21 @@ class Trace:
             self.events.append(TraceEvent(phase, kind, agent, piece, tuple(hats)))
 
 
-def _float_pad(x: Fraction, up: bool) -> float:
-    f = float(x)
-    return f + 1e-9 if up else f - 1e-9
-
-
 class _Gap:
-    """One unassigned interval with candidate bookkeeping that survives edits.
+    """One unassigned interval and the pool's candidate bookkeeping for it.
 
-    ``groups`` maps a valuation id to the (ascending) agents that might still
-    claim this gap; ``lb``/``order`` record where each group's mass begins,
-    kept sorted so the scan can stop as soon as no later group could name a
-    shorter prefix; ``hat`` caches each group's hat value for the whole gap
-    and is flushed whenever the gap's endpoints move.
+    ``groups`` maps a valuation id to the ascending agents that might still
+    claim this gap (full ones are pruned lazily); ``order`` holds ``(mass
+    start, id)`` per group, sorted so a scan can stop once no later group
+    could name a shorter prefix; ``hat`` caches each group's hat value for
+    the whole gap and is flushed whenever the gap's endpoints move.
     """
 
-    __slots__ = ("lo", "hi", "groups", "lb", "order", "hat")
+    __slots__ = ("lo", "hi", "groups", "order", "hat")
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = lo, hi
         self.groups: dict[str, list[int]] = {}
-        self.lb: dict[str, Fraction] = {}
         self.order: list[tuple[Fraction, str]] = []
         self.hat: dict[str, Fraction] = {}
 
@@ -134,72 +128,69 @@ class _Gap:
         return Interval(self.lo, self.hi)
 
 
-def phase_one(instance: Instance, config: SolverConfig,
-              counter: Optional[QueryCounter] = None,
-              trace: Optional[Trace] = None) -> list[Piece]:
-    """Growth phase: returns a partial allocation no gap can improve on.
+class GapPool:
+    """State of the growth phase: pieces, hat values and the sorted gaps.
 
-    At exit, every agent values every remaining gap (under the hat
-    valuation) strictly below its own hat value plus ``delta/n``.
+    Agents sharing a valuation name the same prefixes, so each gap keeps its
+    candidates grouped by valuation id and queries once per group.  A gap is
+    seeded only from valuations whose support box meets it.  Boxes are the
+    support endpoints scaled by the lcm of their denominators, so the test
+    is on integers and exact: a support that only touches a gap at an
+    endpoint is never seeded.
     """
-    valuations = instance.agent_valuations()
-    vids = instance.agent_ids
-    n = instance.n
-    step = config.delta / n
-    budget = Fraction(n * n) / config.delta
 
-    pieces: list[Piece] = [None] * n
-    hat_own: list[Fraction] = [ZERO] * n
+    def __init__(self, instance: Instance, step: Fraction,
+                 counter: Optional[QueryCounter] = None):
+        self.valuations = instance.valuations
+        self.vids = instance.agent_ids
+        self.step = step
+        self.counter = counter
+        self.pieces: list[Piece] = [None] * instance.n
+        self.hat_own: list[Fraction] = [ZERO] * instance.n
+        # Agents below hat value 1 (a full agent never competes again), by id.
+        self.members: dict[str, list[int]] = {}
+        for i, vid in enumerate(self.vids):
+            self.members.setdefault(vid, []).append(i)
+        supports = {vid: (self.valuations[vid].support_lo, self.valuations[vid].support_hi)
+                    for vid in self.members}
+        self.scale = lcm(*(x.denominator for box in supports.values() for x in box))
+        self.boxes = {vid: (int(lo * self.scale), int(hi * self.scale))
+                      for vid, (lo, hi) in supports.items()}
+        self.gaps: list[_Gap] = [self._seed(_Gap(ZERO, ONE))]
 
-    # Padded float support boxes: a cheap, conservative "could agent i value
-    # anything inside this gap?" prefilter.  Exact comparisons happen later.
-    boxes = [(_float_pad(v.support_lo, up=False), _float_pad(v.support_hi, up=True))
-             for v in valuations]
-
-    def reseed(g: _Gap) -> None:
-        """Rebuild g's candidates from every agent whose support meets it."""
-        g.groups, g.lb, g.order, g.hat = {}, {}, [], {}
-        glo, ghi = _float_pad(g.lo, up=False), _float_pad(g.hi, up=True)
-        for i in range(n):
-            if hat_own[i] < 1 and boxes[i][0] < ghi and boxes[i][1] > glo:
-                g.groups.setdefault(vids[i], []).append(i)
-        for vid in list(g.groups):
-            lb = instance.valuations[vid].next_mass(g.lo)
-            if lb is None or lb >= g.hi:
-                del g.groups[vid]  # no mass inside the gap, and it only shrinks
-            else:
-                g.lb[vid] = lb
-                g.order.append((lb, vid))
+    def _seed(self, g: _Gap) -> _Gap:
+        """Rebuild g's candidates from every valuation with mass inside it."""
+        g.groups, g.order, g.hat = {}, [], {}
+        lo = g.lo.numerator * self.scale // g.lo.denominator       # floor(lo * scale)
+        hi = -(-g.hi.numerator * self.scale // g.hi.denominator)   # ceil(hi * scale)
+        for vid, agents in self.members.items():
+            box_lo, box_hi = self.boxes[vid]
+            if agents and box_lo < hi and box_hi > lo:
+                start = self.valuations[vid].next_mass(g.lo)
+                if start is not None and start < g.hi:
+                    g.groups[vid] = list(agents)
+                    g.order.append((start, vid))
         g.order.sort()
+        return g
 
-    def drop_group(g: _Gap, vid: str) -> None:
-        del g.groups[vid]
-        g.order.remove((g.lb.pop(vid), vid))
-
-    def carve(g: _Gap, r: Fraction) -> None:
-        """Remove the assigned prefix [g.lo, r] from the gap (r < g.hi)."""
+    def _carve(self, g: _Gap, r: Fraction) -> None:
+        """Remove the awarded prefix [g.lo, r] from the gap (r < g.hi)."""
         g.lo = r
         g.hat.clear()
         # Mass-start points left of the new edge must be recomputed; the rest
         # are untouched (mass that began at or beyond r still begins there).
-        k = 0
-        while k < len(g.order) and g.order[k][0] < r:
-            k += 1
-        moved = [vid for _, vid in g.order[:k]]
-        del g.order[:k]
-        for vid in moved:
-            lb = instance.valuations[vid].next_mass(r)
-            if lb is None or lb >= g.hi:
-                del g.groups[vid], g.lb[vid]
+        k = bisect_left(g.order, (r,))
+        moved, g.order[:k] = g.order[:k], []
+        for _, vid in moved:
+            start = self.valuations[vid].next_mass(r)
+            if start is None or start >= g.hi:
+                del g.groups[vid]  # no mass left inside the gap
             else:
-                g.lb[vid] = lb
-                insort(g.order, (lb, vid))
+                insort(g.order, (start, vid))
 
-    gaps: list[_Gap] = [_Gap(ZERO, ONE)]
-    reseed(gaps[0])
-
-    def release(lo: Fraction, hi: Fraction) -> None:
+    def _release(self, lo: Fraction, hi: Fraction) -> None:
         """Return [lo, hi] to the pool, merging endpoint-adjacent gaps."""
+        gaps = self.gaps
         k = bisect_left(gaps, lo, key=lambda g: g.lo)
         left = gaps[k - 1] if k > 0 and gaps[k - 1].hi == lo else None
         right = gaps[k] if k < len(gaps) and gaps[k].lo == hi else None
@@ -207,16 +198,14 @@ def phase_one(instance: Instance, config: SolverConfig,
             left.hi = right.hi if right is not None else hi
             if right is not None:
                 gaps.pop(k)
-            reseed(left)  # a wider gap can interest agents dropped earlier
+            self._seed(left)  # a wider gap can interest groups dropped earlier
         elif right is not None:
             right.lo = lo
-            reseed(right)
+            self._seed(right)
         else:
-            g = _Gap(lo, hi)
-            reseed(g)
-            gaps.insert(k, g)
+            gaps.insert(k, self._seed(_Gap(lo, hi)))
 
-    def best_claim(g: _Gap) -> Optional[tuple[Fraction, int]]:
+    def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int]]:
         """Shortest qualifying prefix of ``g`` as (endpoint, agent), if any.
 
         Walks valuation groups in mass-start order: once some group names a
@@ -226,82 +215,92 @@ def phase_one(instance: Instance, config: SolverConfig,
         are dropped -- targets only rise, so they can never qualify again
         unless the gap itself grows (which reseeds it).
         """
+        hat_own, step = self.hat_own, self.step
         best: Optional[tuple[Fraction, int]] = None
-        for lb, vid in list(g.order):
-            if best is not None and lb >= best[0]:
+        for start, vid in list(g.order):
+            if best is not None and start >= best[0]:
                 break  # mass starts too far right to beat the current prefix
+            v = self.valuations[vid]
+            group = g.groups[vid]
             reach = g.hat.get(vid)
             if reach is None:
-                reach = hat_eval(instance.valuations[vid], g.interval(), counter).value
-                g.hat[vid] = reach
-            group = g.groups[vid]
+                # Agents filled since seeding leave before the group is queried.
+                group[:] = [i for i in group if hat_own[i] < 1]
+                if group:
+                    reach = g.hat[vid] = hat_eval(v, g.interval(), self.counter).value
             live = [i for i in group if hat_own[i] + step <= reach]
             if not live:
-                drop_group(g, vid)
+                del g.groups[vid]
+                g.order.remove((start, vid))
                 continue
             group[:] = live
             rep = min(live, key=lambda i: (hat_own[i], i))
-            v = valuations[rep]
-            r = hat_cut(v, g.lo, hat_own[rep] + step, counter)
+            r = hat_cut(v, g.lo, hat_own[rep] + step, self.counter)
             assert r is not None and r <= g.hi
             if len(live) == 1:
                 winner = rep
             else:
                 # Everyone in the group whose target the prefix [lo, r] meets
                 # stops at r as well; the lowest index among them wins ties.
-                at_r = hat_eval(v, Interval(g.lo, r), counter).value
+                at_r = hat_eval(v, Interval(g.lo, r), self.counter).value
                 winner = min(i for i in live if hat_own[i] + step <= at_r)
             if best is None or (r, winner) < best:
                 best = (r, winner)
         return best
 
-    while True:
-        chosen_idx = -1
-        best = None
-        for idx, g in enumerate(gaps):
-            if not g.groups:
-                continue
-            best = best_claim(g)
-            if best is not None:
-                chosen_idx = idx
+    def award(self) -> Optional[int]:
+        """One growth iteration; returns the winner, or None if nobody qualifies.
+
+        The leftmost gap with a qualifying agent loses its shortest qualifying
+        prefix to that agent, whose previous piece returns to the pool.
+        """
+        for k, g in enumerate(self.gaps):
+            claim = self._best_claim(g)
+            if claim is not None:
                 break
-        if chosen_idx < 0:
-            break  # exact exit condition: no (gap, agent) pair qualifies
-
-        chosen = gaps[chosen_idx]
-        r_a, a = best
-
-        released = pieces[a]
-        new_piece = Interval(chosen.lo, r_a)
-        new_hat = hat_eval(valuations[a], new_piece, counter).value
-        assert new_hat >= hat_own[a] + step
-        pieces[a] = new_piece
-        hat_own[a] = new_hat
-        if new_hat >= 1:
-            vid_a = vids[a]
-            for g in gaps:  # a full agent never competes again
-                group = g.groups.get(vid_a)
-                if group is not None and a in group:
-                    group.remove(a)
-                    if not group:
-                        drop_group(g, vid_a)
-
-        if r_a < chosen.hi:
-            carve(chosen, r_a)
         else:
-            gaps.pop(chosen_idx)
+            return None  # exact exit condition: no (gap, agent) pair qualifies
+        r, a = claim
+        released = self.pieces[a]
+        piece = Interval(g.lo, r)
+        hat = hat_eval(self.valuations[self.vids[a]], piece, self.counter).value
+        assert hat >= self.hat_own[a] + self.step
+        self.pieces[a] = piece
+        self.hat_own[a] = hat
+        if hat >= 1:
+            self.members[self.vids[a]].remove(a)
+        if r < g.hi:
+            self._carve(g, r)
+        else:
+            self.gaps.pop(k)
         if released is not None:
-            release(released.lo, released.hi)
+            self._release(released.lo, released.hi)
+        return a
 
+
+def phase_one(instance: Instance, config: SolverConfig,
+              counter: Optional[QueryCounter] = None,
+              trace: Optional[Trace] = None) -> list[Piece]:
+    """Growth phase: returns a partial allocation no gap can improve on.
+
+    At exit, every agent values every remaining gap (under the hat
+    valuation) strictly below its own hat value plus ``delta/n``.  The loop
+    also stops after floor(n^2/delta) + 1 awards, one more than the proved
+    bound allows, so a run that overruns fails the report's
+    ``growth_iterations_within_budget`` check instead of looping on.
+    """
+    pool = GapPool(instance, config.delta / instance.n, counter)
+    budget = Fraction(instance.n ** 2) / config.delta
+    iterations = 0
+    while iterations <= budget and (a := pool.award()) is not None:
+        iterations += 1
         if trace is not None:
-            trace.phase1_iterations += 1
-            trace.event(1, "assign", a, new_piece, hat_own)
-            assert trace.phase1_iterations <= budget
+            trace.event(1, "assign", a, pool.pieces[a], pool.hat_own)
     if trace is not None:
-        trace.snap("phase1_end", pieces, [g.interval() for g in gaps], hat_own)
-    log.debug("growth phase done: %s iterations, %s gaps",
-              trace and trace.phase1_iterations, len(gaps))
-    return pieces
+        trace.phase1_iterations = iterations
+        trace.snap("phase1_end", pool.pieces, [g.interval() for g in pool.gaps], pool.hat_own)
+    log.debug("growth phase done: %s iterations, %s gaps", iterations, len(pool.gaps))
+    return pool.pieces
 
 
 def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,

@@ -50,6 +50,8 @@ def test_identical_agents_split_at_grid_points():
     assert {str(p) for p in pieces if p is not None} == {"[0, 1/2]", "[1/2, 1]"}
     assert report.max_envy == Fraction(1, 2)  # the empty agents' envy
     assert report.passed
+    grid_check = next(c for c in report.checks if c.name == "grid_size_bound")
+    assert grid_check.passed and grid_check.witness is None  # witnesses explain failures
 
 
 @settings(max_examples=40, deadline=None)

@@ -140,6 +140,18 @@ def test_validation_failures_exit_2_with_json_diagnostics(tmp_path, capsys):
     code, _, err = run(["solve", str(inst), "--delta", "2"], capsys)
     assert code == EXIT_INVALID
 
+    # malformed files that used to crash with a traceback (exit 1)
+    too_long = {"agents": [{"valuation": "u"}],
+                "valuations": {"u": {"breakpoints": ["0", "1" * 4400], "densities": ["1"]}}}
+    for name, data in [("latin1.json", '{"agents": "\xe9"}'.encode("latin-1")),
+                       ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+                       ("digits.json", json.dumps(too_long).encode())]:
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code, _, err = run(["solve", str(bad), "--delta", "1/10"], capsys)
+        assert code == EXIT_INVALID, name
+        assert json.loads(err)["error"] == "validation", name
+
 
 def test_bounded_rejects_too_many_distinct_valuations(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys, n=4, family="random", seed=2)

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from cakecut import (Instance, SolverConfig, ValidationError, Valuation,
-                     interval, merge_final, solve, solve_mult)
+from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
+                     generate, interval, merge_final, phase_one, solve, solve_mult)
+from cakecut.solver import GapPool, _Gap
 from oracles import worst_envy
+from reference_solver import growth_phase
 from strategies import instances
 
 DELTA = Fraction(1, 10)
@@ -114,6 +116,101 @@ def test_solver_is_deterministic(inst):
     assert first[0] == second[0]
     assert first[2].eval_count == second[2].eval_count
     assert first[2].cut_count == second[2].cut_count
+
+
+def growth(inst, delta=DELTA):
+    trace = Trace()
+    pieces = phase_one(inst, SolverConfig(delta=delta), None, trace)
+    return pieces, trace.phase1_iterations
+
+
+@pytest.mark.parametrize("family", ["random", "identical", "blocks", "grouped"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_growth_phase_matches_the_literal_loop(family, n):
+    for seed in range(2):
+        inst = generate(GeneratorSpec(n=n, family=family, seed=seed))
+        assert growth(inst) == growth_phase(inst, DELTA)
+    if n <= 5:
+        assert growth(inst, Fraction(1, 80)) == growth_phase(inst, Fraction(1, 80))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_n=5))
+def test_growth_phase_matches_the_literal_loop_on_random_instances(inst):
+    assert growth(inst) == growth_phase(inst, DELTA)
+
+
+def test_growth_loop_stops_at_its_budget(monkeypatch):
+    # an award that never changes anything would loop forever; the budget
+    # check must stop it and fail the report, with or without asserts
+    monkeypatch.setattr(GapPool, "award", lambda self: 0)
+    _, trace, report = solve(two_agent_instance(), SolverConfig(delta=DELTA))
+    assert trace.phase1_iterations == 41  # floor(n^2/delta) + 1
+    assert "growth_iterations_within_budget" in {c.name for c in report.failures()}
+
+
+class TestGapPool:
+    UNIFORM = Valuation(["0", "1"], ["1"])
+
+    @staticmethod
+    def pool(valuations: dict, gaps, step=DELTA) -> GapPool:
+        pool = GapPool(Instance(valuations, list(valuations)), step)
+        pool.gaps = [pool._seed(_Gap(Fraction(lo), Fraction(hi))) for lo, hi in gaps]
+        return pool
+
+    @staticmethod
+    def count_peeks(monkeypatch) -> list:
+        peeks = []
+        next_mass = Valuation.next_mass
+
+        def counted(v, x):
+            peeks.append(x)
+            return next_mass(v, x)
+        monkeypatch.setattr(Valuation, "next_mass", counted)
+        return peeks
+
+    def test_release_merges_both_neighbours_and_reseeds_a_dropped_group(self):
+        pool = self.pool({"u": self.UNIFORM}, [("0", "1/4"), ("1/2", "3/4")])
+        pool.hat_own[0] = Fraction(1, 4)
+        left = pool.gaps[0]
+        # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its group is dropped
+        assert pool._best_claim(left) is None and left.groups == {}
+        pool._release(Fraction(1, 4), Fraction(1, 2))
+        assert [g.interval() for g in pool.gaps] == [interval(0, "3/4")]
+        assert pool.gaps[0].groups == {"u": [0]}
+        assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0)
+
+    def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
+        valuations = {
+            "all": self.UNIFORM,
+            "left": Valuation(["0", "1/4", "1"], ["4", "0"]),
+            "at": Valuation(["0", "1/2", "1"], ["0", "2"]),
+            "after": Valuation(["0", "3/4", "1"], ["0", "4"]),
+        }
+        pool = self.pool(valuations, [("0", "1")])
+        gap = pool.gaps[0]
+        peeks = self.count_peeks(monkeypatch)
+        pool._carve(gap, Fraction(1, 2))
+        # only the groups whose mass started left of the cut are looked up again
+        assert peeks == [Fraction(1, 2)] * 2
+        assert gap.order == [(Fraction(1, 2), "all"), (Fraction(1, 2), "at"),
+                             (Fraction(3, 4), "after")]
+        assert set(gap.groups) == {"all", "at", "after"}
+
+    def test_a_support_touching_a_gap_at_an_endpoint_is_never_seeded(self, monkeypatch):
+        valuations = {
+            "mid": Valuation(["0", "1/3", "2/3", "1"], ["0", "3", "0"]),
+            "u": self.UNIFORM,
+        }
+        pool = self.pool(valuations, [])
+        peeks = self.count_peeks(monkeypatch)
+        for lo, hi in [("0", "1/3"), ("2/3", "1")]:
+            gap = pool._seed(_Gap(Fraction(lo), Fraction(hi)))
+            assert list(gap.groups) == ["u"]
+        assert len(peeks) == 2  # one for "u" per gap, none for "mid"
+        # a gap reaching past the support edge by less than 1/scale meets it
+        gap = pool._seed(_Gap(Fraction(0), Fraction(17, 50)))
+        assert gap.order == [(Fraction(0), "u"), (Fraction(1, 3), "mid")]
 
 
 class TestMergeFinal:
