@@ -18,20 +18,12 @@ from .cake import (
     ValidationError,
     Valuation,
     cut_query,
-    divide_point,
     eval_query,
     interval,
     validate,
 )
 from .hatvalue import HatValue, hat_cut, hat_eval, is_bifurcating
-from .allocation import (
-    CycleStats,
-    build_envy_graph,
-    check_pieces,
-    eliminate_cycles,
-    find_source,
-    unassigned_gaps,
-)
+from .allocation import EnvyGraph, check_pieces, unassigned_gaps
 from .audit import (
     AuditReport,
     Check,
@@ -58,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "Check",
-    "CycleStats",
+    "EnvyGraph",
     "GeneratorSpec",
     "HatValue",
     "Instance",
@@ -72,7 +64,6 @@ __all__ = [
     "allocation_from_obj",
     "allocation_to_obj",
     "brute_force_min_envy",
-    "build_envy_graph",
     "build_report",
     "check_mult_bounds",
     "check_phase_invariants",
@@ -80,10 +71,7 @@ __all__ = [
     "check_theorem_bounds",
     "cut_point_grid",
     "cut_query",
-    "divide_point",
-    "eliminate_cycles",
     "eval_query",
-    "find_source",
     "format_fraction",
     "generate",
     "hat_cut",

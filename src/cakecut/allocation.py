@@ -5,16 +5,15 @@ A partial allocation is a list of pairwise-disjoint pieces indexed by agent
 unassigned intervals; zero-width gaps are dropped, so the gap list is always
 the minimum-cardinality cover of the uncovered part of the cake.
 
-The envy graph has an edge i -> j whenever agent i's hat value for its own
-piece is strictly below its hat value for j's piece.  Cycles are removed by
-rotating pieces along a cycle (each agent takes its successor's piece), which
-never lowers anyone's hat value and strictly shrinks the edge set, so at most
-n^2 rotations occur.
+The envy graph (``EnvyGraph``) has an edge i -> j whenever agent i's hat
+value for its own piece is strictly below its hat value for j's piece.
+Cycles are removed by rotating pieces along a cycle (each agent takes its
+successor's piece), which never lowers anyone's hat value and strictly
+shrinks the edge set, so at most n^2 rotations occur.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -72,25 +71,6 @@ def envy_edges(matrix: list[list[Fraction]]) -> list[set[int]]:
     ]
 
 
-def build_envy_graph(pieces: Pieces, valuations: Sequence[Valuation],
-                     counter: Optional[QueryCounter] = None) -> list[set[int]]:
-    """Directed envy graph as a list of successor sets."""
-    return envy_edges(hat_matrix(pieces, valuations, counter))
-
-
-def find_source(graph: Sequence[set[int]]) -> int:
-    """Lowest-index vertex with no incoming edge; raises on cyclic graphs."""
-    n = len(graph)
-    indegree = [0] * n
-    for succs in graph:
-        for j in succs:
-            indegree[j] += 1
-    for i in range(n):
-        if indegree[i] == 0:
-            return i
-    raise RuntimeError("envy graph has no source; eliminate cycles first")
-
-
 def _find_cycle(graph: Sequence[set[int]]) -> Optional[list[int]]:
     """First cycle under a lowest-index-first depth-first search, or None."""
     n = len(graph)
@@ -123,60 +103,94 @@ def _find_cycle(graph: Sequence[set[int]]) -> Optional[list[int]]:
     return None
 
 
-@dataclass
-class CycleStats:
-    """What happened inside one cycle-elimination call."""
-
-    cycles: list[list[int]] = field(default_factory=list)
-    edge_counts: list[int] = field(default_factory=list)  # before each rotation, then final
-    matrix: list[list[Fraction]] = field(default_factory=list)  # hat matrix afterwards
-
-
-def resolve_cycles(pieces: list[Piece], matrix: list[list[Fraction]]) -> tuple[list[Piece], CycleStats]:
-    """Rotate pieces along envy cycles until the graph is acyclic.
+def resolve_cycles(pieces: list[Piece], matrix: list[list[Fraction]]) -> list[list[int]]:
+    """Rotate pieces along envy cycles, in place, until the graph is acyclic.
 
     Works purely on a precomputed hat-value matrix: rotating ownership only
-    permutes matrix columns, so no new queries are needed.  Each rotation
-    strictly decreases the number of envy edges (asserted), which bounds the
-    loop by n^2 rotations.
+    permutes matrix columns, so no new queries are needed.  Returns the
+    rotated cycles in order.  Each rotation must strictly decrease the number
+    of envy edges, which bounds the loop by n^2 rotations; a rotation that
+    does not raises ``RuntimeError``.
     """
-    n = len(pieces)
-    pieces = list(pieces)
-    matrix = [row[:] for row in matrix]
-    stats = CycleStats()
+    cycles: list[list[int]] = []
     edges = envy_edges(matrix)
     count = sum(len(s) for s in edges)
-    while True:
-        cycle = _find_cycle(edges)
-        if cycle is None:
-            break
-        stats.cycles.append(cycle)
-        stats.edge_counts.append(count)
-        # Each agent in the cycle takes its successor's piece.
+    while (cycle := _find_cycle(edges)) is not None:
+        cycles.append(cycle)
+        # Each agent in the cycle takes its successor's piece, and every
+        # matrix row its successor's column.
         shifted = cycle[1:] + cycle[:1]
-        old_pieces = [pieces[j] for j in shifted]
-        old_cols = [[matrix[i][j] for j in shifted] for i in range(n)]
-        for k, agent in enumerate(cycle):
-            pieces[agent] = old_pieces[k]
-            for i in range(n):
-                matrix[i][agent] = old_cols[i][k]
+        for row in (pieces, *matrix):
+            moved = [row[j] for j in shifted]
+            for agent, x in zip(cycle, moved):
+                row[agent] = x
         edges = envy_edges(matrix)
         new_count = sum(len(s) for s in edges)
-        assert new_count < count, "cycle rotation must strictly reduce envy edges"
+        if new_count >= count:
+            raise RuntimeError(f"rotating cycle {cycle} left {new_count} envy edges, "
+                               f"not fewer than {count}")
         count = new_count
-        assert len(stats.cycles) <= n * n, "too many cycle rotations"
-    stats.edge_counts.append(count)
-    stats.matrix = matrix
-    return pieces, stats
+    return cycles
 
 
-def eliminate_cycles(pieces: Pieces, valuations: Sequence[Valuation],
-                     counter: Optional[QueryCounter] = None) -> tuple[list[Piece], CycleStats]:
-    """Reassign pieces among agents so the envy graph becomes acyclic.
+class EnvyGraph:
+    """The appending phase's envy graph over a partial allocation.
 
-    Returns the permuted pieces and the per-rotation statistics.  Ownership
-    is only permuted -- the multiset of pieces is unchanged -- and no agent's
-    hat value for its own piece decreases.
+    ``matrix[i][j]`` is agent i's hat value for the piece agent j holds,
+    ``succ[i]`` the agents that i envies and ``in_deg[j]`` the number of
+    agents that envy j.  Queries are issued only to build the matrix and to
+    re-evaluate a piece that grows; rotations just permute columns.
     """
-    matrix = hat_matrix(pieces, valuations, counter)
-    return resolve_cycles(list(pieces), matrix)
+
+    def __init__(self, pieces: Pieces, valuations: Sequence[Valuation],
+                 counter: Optional[QueryCounter] = None):
+        self.pieces = list(pieces)
+        self.valuations = valuations
+        self.counter = counter
+        self.matrix = hat_matrix(self.pieces, valuations, counter)
+        self._index()
+
+    def _index(self) -> None:
+        self.succ = envy_edges(self.matrix)
+        self.in_deg = [0] * len(self.pieces)
+        for out in self.succ:
+            for j in out:
+                self.in_deg[j] += 1
+
+    def resolve(self) -> list[list[int]]:
+        """Rotate every envy cycle away; returns the rotated cycles."""
+        if not any(self.succ):
+            return []
+        cycles = resolve_cycles(self.pieces, self.matrix)
+        if cycles:
+            self._index()
+        return cycles
+
+    def source(self) -> int:
+        """Lowest-index agent nobody envies; raises when everyone is envied."""
+        for i, d in enumerate(self.in_deg):
+            if d == 0:
+                return i
+        raise RuntimeError("envy graph has no source; resolve cycles first")
+
+    def grow(self, s: int, piece: Piece) -> None:
+        """Give agent s ``piece``, which contains its old one, and update s's edges.
+
+        Only column s changes, and only upward: s may stop envying others,
+        and others may start envying s.
+        """
+        self.pieces[s] = piece
+        m = self.matrix
+        for i, v in enumerate(self.valuations):
+            m[i][s] = hat_eval(v, piece, self.counter).value
+        for j in [j for j in self.succ[s] if m[s][j] <= m[s][s]]:
+            self.succ[s].discard(j)
+            self.in_deg[j] -= 1
+        for i, out in enumerate(self.succ):
+            if i != s and s not in out and m[i][s] > m[i][i]:
+                out.add(s)
+                self.in_deg[s] += 1
+
+    def hats(self) -> list[Fraction]:
+        """Each agent's hat value for its own piece."""
+        return [row[i] for i, row in enumerate(self.matrix)]

@@ -76,10 +76,6 @@ class QueryCounter:
     eval_count: int = 0
     cut_count: int = 0
 
-    def merge(self, other: "QueryCounter") -> None:
-        self.eval_count += other.eval_count
-        self.cut_count += other.cut_count
-
 
 class Valuation:
     """A piecewise-constant density on [0,1], normalized to total mass 1.
@@ -241,21 +237,6 @@ def cut_query(v: Valuation, x: Fraction, nu: Fraction, counter: Optional[QueryCo
         counter.cut_count += 1
     y = v.leftmost_reach(x, nu)
     return ONE if y is None else y
-
-
-def divide_point(v: Valuation, x: Fraction, y: Fraction, lam: Fraction,
-                 counter: Optional[QueryCounter] = None) -> Fraction:
-    """Leftmost z in [x, y] with value(x..z) == lam * value(x..y) exactly."""
-    _check_point(x, "x")
-    _check_point(y, "y")
-    if x > y:
-        raise ValueError(f"divide_point needs x <= y, got {x} > {y}")
-    if not (ZERO <= lam <= ONE):
-        raise ValueError(f"divide_point needs lam in [0,1], got {lam}")
-    target = lam * v.value(x, y)
-    z = v.leftmost_reach(x, target)
-    assert z is not None and z <= y
-    return z
 
 
 class Instance:

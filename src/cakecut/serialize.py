@@ -177,4 +177,7 @@ def read_json(path) -> object:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps_canonical(obj))
+    try:
+        Path(path).write_text(dumps_canonical(obj))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None

@@ -46,7 +46,7 @@ from .cake import (
     cut_query,
     open_unit,
 )
-from .allocation import envy_edges, hat_matrix, resolve_cycles, unassigned_gaps
+from .allocation import EnvyGraph, unassigned_gaps
 from .hatvalue import hat_cut, hat_eval
 
 log = logging.getLogger(__name__)
@@ -306,84 +306,55 @@ def phase_one(instance: Instance, config: SolverConfig,
 def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
               counter: Optional[QueryCounter] = None,
               trace: Optional[Trace] = None) -> list[Piece]:
-    """Appending phase: feed gap crumbs to envy-graph sources until <= n gaps."""
+    """Appending phase: feed gap crumbs to envy-graph sources until <= n gaps.
+
+    Like the growth loop, it stops after floor(n^2/delta) + 1 iterations, so
+    a run that overruns leaves more than n gaps and fails the report's
+    ``appending_iterations_within_budget`` and ``complete_cover`` checks.
+    """
     valuations = instance.agent_valuations()
     n = instance.n
-    step = config.delta / n
-    budget = Fraction(n * n) / config.delta
-    pieces = list(pieces)
     gaps = unassigned_gaps(pieces)
     if len(gaps) <= n:
         if trace is not None:
             trace.snap("phase2_end", pieces, gaps,
                        [hat_eval(v, p).value for v, p in zip(valuations, pieces)])
-        return pieces
+        return list(pieces)
 
-    matrix = hat_matrix(pieces, valuations, counter)
-    succ = envy_edges(matrix)
-    edge_count = sum(len(out) for out in succ)
-    in_deg = [0] * n
-    for out in succ:
-        for j in out:
-            in_deg[j] += 1
-    while len(gaps) > n:
+    graph = EnvyGraph(pieces, valuations, counter)
+    step = config.delta / n
+    budget = Fraction(n * n) / config.delta
+    iterations = 0
+    while len(gaps) > n and iterations <= budget:
         # More gaps than agents forces a full piece/gap alternation: every
         # agent holds something and has a gap immediately to its right.
-        assert len(gaps) == n + 1 and all(p is not None for p in pieces)
+        assert len(gaps) == n + 1 and all(p is not None for p in graph.pieces)
+        cycles = graph.resolve()
+        if trace is not None:
+            trace.cycle_rotations += len(cycles)
+            for cyc in cycles:
+                trace.event(2, "rotate", cyc[0], graph.pieces[cyc[0]], graph.hats())
 
-        if edge_count:
-            pieces, stats = resolve_cycles(pieces, matrix)
-            matrix = stats.matrix
-            if trace is not None and stats.cycles:
-                trace.cycle_rotations += len(stats.cycles)
-                for cyc in stats.cycles:
-                    trace.event(2, "rotate", cyc[0], pieces[cyc[0]],
-                                [matrix[i][i] for i in range(n)])
-            succ = envy_edges(matrix)
-            edge_count = sum(len(out) for out in succ)
-            in_deg = [0] * n
-            for out in succ:
-                for j in out:
-                    in_deg[j] += 1
-
-        s = next(i for i in range(n) if in_deg[i] == 0)
-        r_s = pieces[s].hi
+        s = graph.source()
+        r_s = graph.pieces[s].hi
         k = bisect_left(gaps, r_s, key=lambda g: g.lo)
         assert k < len(gaps) and gaps[k].lo == r_s, "source must have a gap on its right"
-        gap = gaps[k]
-
         x = min(cut_query(v, r_s, step, counter) for v in valuations)
-        if x >= gap.hi:
-            pieces[s] = Interval(pieces[s].lo, gap.hi)
-            gaps.pop(k)
+        if x >= gaps[k].hi:
+            x = gaps.pop(k).hi
             kind = "whole_gap"
         else:
-            pieces[s] = Interval(pieces[s].lo, x)
-            gaps[k] = Interval(x, gap.hi)
+            gaps[k] = Interval(x, gaps[k].hi)
             kind = "crumb"
-        # Only the hat values for s's piece move, and they can only rise: the
-        # source may shed outgoing envy while others may start envying it.
-        for i, v in enumerate(valuations):
-            matrix[i][s] = hat_eval(v, pieces[s], counter).value
-        for j in list(succ[s]):
-            if matrix[s][j] <= matrix[s][s]:
-                succ[s].discard(j)
-                in_deg[j] -= 1
-                edge_count -= 1
-        for i in range(n):
-            if i != s and s not in succ[i] and matrix[i][s] > matrix[i][i]:
-                succ[i].add(s)
-                in_deg[s] += 1
-                edge_count += 1
-
+        graph.grow(s, Interval(graph.pieces[s].lo, x))
+        iterations += 1
         if trace is not None:
-            trace.phase2_iterations += 1
-            trace.event(2, kind, s, pieces[s], [matrix[i][i] for i in range(n)])
-            assert trace.phase2_iterations <= budget
+            trace.event(2, kind, s, graph.pieces[s], graph.hats())
     if trace is not None:
-        trace.snap("phase2_end", pieces, gaps, [matrix[i][i] for i in range(n)])
-    log.debug("appending phase done: %s iterations", trace and trace.phase2_iterations)
-    return pieces
+        trace.phase2_iterations = iterations
+        trace.snap("phase2_end", graph.pieces, gaps, graph.hats())
+    log.debug("appending phase done: %s iterations", iterations)
+    return graph.pieces
 
 
 def merge_final(pieces: Sequence[Piece]) -> list[Piece]:
@@ -392,16 +363,16 @@ def merge_final(pieces: Sequence[Piece]) -> list[Piece]:
     Gaps are matched left to right, each preferring the piece ending at its
     left edge and falling back to the piece starting at its right edge.  A
     gap with no free neighbor (possible only when some agents hold nothing)
-    is handed whole to the lowest-index empty-handed agent.
+    is handed whole to the lowest-index empty-handed agent.  A gap left over
+    once those run out stays uncovered, and the report's ``complete_cover``
+    check fails.
     """
     out = list(pieces)
-    gaps = unassigned_gaps(out)
-    assert len(gaps) <= len(out), "merge requires at most n gaps"
     ends = {p.hi: i for i, p in enumerate(out) if p is not None}
     starts = {p.lo: i for i, p in enumerate(out) if p is not None}
     used: set[int] = set()
     leftover: list[Interval] = []
-    for gap in gaps:
+    for gap in unassigned_gaps(out):
         left = ends.get(gap.lo)
         right = starts.get(gap.hi)
         if left is not None and left not in used:
@@ -413,10 +384,8 @@ def merge_final(pieces: Sequence[Piece]) -> list[Piece]:
         else:
             leftover.append(gap)
     empty = [i for i, p in enumerate(pieces) if p is None]
-    assert len(leftover) <= len(empty), "cannot place every gap"
     for gap, agent in zip(leftover, empty):
         out[agent] = gap
-    assert not unassigned_gaps(out), "merged allocation must cover the cake"
     return out
 
 

@@ -90,3 +90,25 @@ def worst_envy(pieces, valuations) -> Fraction:
             if i != j:
                 worst = max(worst, other - row[i])
     return worst
+
+
+def replay_edge_counts(matrix, cycles) -> tuple[list[int], list[list[Fraction]]]:
+    """Envy-edge counts before each rotation and after the last, and the final matrix.
+
+    Replays ``cycles`` on a copy of a hat-value matrix: in each cycle every
+    agent takes its successor's column.  Edges are counted straight from the
+    definition, i -> j when ``matrix[i][i] < matrix[i][j]``.
+    """
+    matrix = [list(row) for row in matrix]
+
+    def edges():
+        return sum(row[i] < x for i, row in enumerate(matrix) for x in row)
+
+    counts = [edges()]
+    for cycle in cycles:
+        for row in matrix:
+            old = list(row)
+            for agent, succ in zip(cycle, cycle[1:] + cycle[:1]):
+                row[agent] = old[succ]
+        counts.append(edges())
+    return counts, matrix

@@ -13,13 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from cakecut import (GeneratorSpec, Instance, SolverConfig, Valuation,
-                     brute_force_min_envy, build_envy_graph, check_pieces,
-                     eliminate_cycles, generate, hat_cut, hat_eval, interval,
-                     solve, solve_bounded, solve_mult, unassigned_gaps)
+from cakecut import (EnvyGraph, GeneratorSpec, Instance, SolverConfig, Valuation,
+                     brute_force_min_envy, check_pieces, generate, hat_cut, hat_eval,
+                     interval, solve, solve_bounded, solve_mult, unassigned_gaps)
+from cakecut.allocation import envy_edges, hat_matrix
 from cakecut.cake import Interval
 from cakecut.cli import EXIT_OK, main
-from oracles import grid_hat_cut, naive_cut, naive_hat, naive_value, worst_envy
+from oracles import (grid_hat_cut, naive_cut, naive_hat, naive_value, replay_edge_counts,
+                     worst_envy)
 
 FAMILY_ROTATION = ("random", "identical", "blocks", "grouped")
 
@@ -156,15 +157,19 @@ def test_cycle_elimination_1000_partial_allocations():
             pieces[owner] = slot
 
         before = [hat_eval(v, p).value for v, p in zip(vals, pieces)]
-        fixed, stats = eliminate_cycles(pieces, vals)
+        graph = EnvyGraph(pieces, vals)
+        start = [row[:] for row in graph.matrix]
+        cycles = graph.resolve()
+        fixed = graph.pieces
         after = [hat_eval(v, p).value for v, p in zip(vals, fixed)]
 
         assert Counter(fixed) == Counter(pieces)
         assert all(b <= a for b, a in zip(before, after))
-        assert _is_acyclic(build_envy_graph(fixed, vals))
-        counts = stats.edge_counts
+        assert _is_acyclic(envy_edges(hat_matrix(fixed, vals)))
+        counts, replayed = replay_edge_counts(start, cycles)
         assert all(x > y for x, y in zip(counts, counts[1:])), counts
-        rotations += len(stats.cycles)
+        assert replayed == graph.matrix
+        rotations += len(cycles)
     elapsed = time.monotonic() - started
     print(f"PASS cycle elimination: 1000/1000 partial allocations, "
           f"{rotations} rotations total, {elapsed:.1f}s")

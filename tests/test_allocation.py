@@ -1,15 +1,17 @@
-"""Gap computation and envy-graph cycle elimination."""
+"""Gap computation, the envy graph and its cycle elimination."""
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cakecut import (Interval, Valuation, build_envy_graph, check_pieces,
-                     eliminate_cycles, find_source, hat_eval, interval,
-                     unassigned_gaps)
+import cakecut.allocation
+from cakecut import (EnvyGraph, Interval, QueryCounter, Valuation, check_pieces, hat_eval,
+                     interval, unassigned_gaps)
 from cakecut.allocation import envy_edges, hat_matrix, resolve_cycles
+from oracles import replay_edge_counts
 from strategies import partial_allocations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
@@ -52,24 +54,43 @@ def test_envy_graph_and_source():
     # agent 0 holds the shared hotspot; agent 1 holds dust and envies it,
     # so agent 1 is the (only) vertex without incoming envy
     pieces = [interval(0, "1/4"), interval("7/8", 1)]
-    graph = build_envy_graph(pieces, [_steps(0), _steps(0)])
-    assert graph == [set(), {0}]
-    assert find_source(graph) == 1
+    graph = EnvyGraph(pieces, [_steps(0), _steps(0)])
+    assert graph.succ == [set(), {0}]
+    assert graph.in_deg == [1, 0]
+    assert graph.source() == 1
 
 
-def test_find_source_rejects_cycles():
+def test_source_rejects_a_bare_two_cycle():
+    # each agent holds the other's favourite quarter
+    graph = EnvyGraph([interval("1/4", "1/2"), interval(0, "1/4")], [_steps(0), _steps(1)])
+    assert graph.succ == [{1}, {0}]
     with pytest.raises(RuntimeError):
-        find_source([{1}, {0}])
+        graph.source()
 
 
 def test_two_agent_swap_resolves_envy():
     # each agent holds the other's favourite quarter: a 2-cycle
     pieces = [interval("1/4", "1/2"), interval(0, "1/4")]
-    vals = [_steps(0), _steps(1)]
-    fixed, stats = eliminate_cycles(pieces, vals)
-    assert fixed == [interval(0, "1/4"), interval("1/4", "1/2")]
-    assert stats.cycles == [[0, 1]]
-    assert stats.edge_counts[0] > stats.edge_counts[-1] == 0
+    graph = EnvyGraph(pieces, [_steps(0), _steps(1)])
+    start = [row[:] for row in graph.matrix]
+    cycles = graph.resolve()
+    assert graph.pieces == [interval(0, "1/4"), interval("1/4", "1/2")]
+    assert cycles == [[0, 1]]
+    counts, _ = replay_edge_counts(start, cycles)
+    assert counts[0] > counts[-1] == 0
+    assert graph.succ == [set(), set()] and graph.in_deg == [0, 0]
+    assert graph.source() == 0
+
+
+def test_resolve_issues_no_queries_and_skips_an_edgeless_graph(monkeypatch):
+    counter = QueryCounter()
+    graph = EnvyGraph([interval("1/4", "1/2"), interval(0, "1/4")],
+                      [_steps(0), _steps(1)], counter)
+    built = (counter.eval_count, counter.cut_count)
+    assert graph.resolve() == [[0, 1]]
+    assert (counter.eval_count, counter.cut_count) == built
+    monkeypatch.setattr(cakecut.allocation, "resolve_cycles", None)
+    assert graph.resolve() == []  # no edge left: resolve_cycles is not called
 
 
 class TestCycleElimination:
@@ -79,23 +100,58 @@ class TestCycleElimination:
         """Output graph acyclic; pieces permuted; own hat values never drop."""
         pieces, vals = pv
         before = [hat_eval(v, p).value for v, p in zip(vals, pieces)]
-        fixed, stats = eliminate_cycles(pieces, vals)
+        graph = EnvyGraph(pieces, vals)
+        graph.resolve()
+        fixed = graph.pieces
 
         assert Counter(fixed) == Counter(pieces)
         after = [hat_eval(v, p).value for v, p in zip(vals, fixed)]
         assert all(b <= a for b, a in zip(before, after))
-        graph = build_envy_graph(fixed, vals)
-        find_source(graph)  # must not raise
-        assert stats.matrix == hat_matrix(fixed, vals)
+        assert graph.hats() == after
+        EnvyGraph(fixed, vals).source()  # must not raise
+        assert graph.matrix == hat_matrix(fixed, vals)
 
     @settings(max_examples=200, deadline=None)
     @given(partial_allocations())
     def test_each_rotation_strictly_reduces_edges(self, pv):
         pieces, vals = pv
-        _, stats = eliminate_cycles(pieces, vals)
-        counts = stats.edge_counts
+        graph = EnvyGraph(pieces, vals)
+        start = [row[:] for row in graph.matrix]
+        cycles = graph.resolve()
+        counts, replayed = replay_edge_counts(start, cycles)
         assert all(a > b for a, b in zip(counts, counts[1:]))
-        assert len(stats.cycles) == len(counts) - 1
+        assert len(cycles) == len(counts) - 1
+        assert replayed == graph.matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_allocations(), st.data())
+def test_grow_matches_a_rebuilt_graph(pv, data):
+    """After grow(), the graph equals one built from scratch on the same pieces."""
+    pieces, vals = pv
+    held = [i for i, p in enumerate(pieces) if p is not None]
+    assume(held)
+    s = data.draw(st.sampled_from(held))
+    old = pieces[s]
+    others = [p for p in pieces if p is not None and p != old]
+    room_lo = max([p.hi for p in others if p.hi <= old.lo], default=Fraction(0))
+    room_hi = min([p.lo for p in others if p.lo >= old.hi], default=Fraction(1))
+    a, b = (Fraction(data.draw(st.integers(0, 12)), 12) for _ in range(2))
+    piece = Interval(old.lo - a * (old.lo - room_lo), old.hi + b * (room_hi - old.hi))
+
+    counter = QueryCounter()
+    graph = EnvyGraph(pieces, vals, counter)
+    built = counter.eval_count
+    graph.grow(s, piece)
+    column = QueryCounter()
+    for v in vals:
+        hat_eval(v, piece, column)
+    assert counter.eval_count - built == column.eval_count  # one hat_eval per agent
+    fresh = EnvyGraph(graph.pieces, vals)
+    assert graph.pieces[s] == piece
+    assert graph.matrix == fresh.matrix
+    assert graph.succ == fresh.succ
+    assert graph.in_deg == fresh.in_deg
 
 
 def test_resolve_cycles_is_pure_column_permutation():
@@ -103,8 +159,19 @@ def test_resolve_cycles_is_pure_column_permutation():
     pieces = [interval("1/4", "1/2"), interval(0, "1/4")]
     vals = [_steps(0), _steps(1)]
     matrix = hat_matrix(pieces, vals)
-    fixed, stats = resolve_cycles(pieces, matrix)
-    assert fixed == [interval(0, "1/4"), interval("1/4", "1/2")]
-    assert stats.matrix == hat_matrix(fixed, vals)
-    assert stats.matrix == [[row[1], row[0]] for row in matrix]
-    assert envy_edges(stats.matrix) == [set(), set()]
+    start = [row[:] for row in matrix]
+    assert resolve_cycles(pieces, matrix) == [[0, 1]]
+    assert pieces == [interval(0, "1/4"), interval("1/4", "1/2")]
+    assert matrix == hat_matrix(pieces, vals)
+    assert matrix == [[row[1], row[0]] for row in start]
+    assert envy_edges(matrix) == [set(), set()]
+
+
+def test_a_rotation_that_adds_edges_raises(monkeypatch):
+    # rotating two agents who each prefer their own piece creates envy; the
+    # edge-decrease check must catch it even with asserts stripped
+    cycles = iter([[0, 1]])
+    monkeypatch.setattr(cakecut.allocation, "_find_cycle", lambda edges: next(cycles, None))
+    matrix = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    with pytest.raises(RuntimeError):
+        resolve_cycles([interval(0, "1/2"), interval("1/2", 1)], matrix)

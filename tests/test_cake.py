@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cakecut import (Instance, Interval, QueryCounter, Valuation, cut_query,
-                     divide_point, eval_query, interval, validate)
+                     eval_query, interval, validate)
 from oracles import naive_cut, naive_value
 from strategies import lattice_points, valuations
 
@@ -28,12 +28,6 @@ def test_interval_width_and_str():
     piece = interval(0, "2/3")
     assert piece.width == Fraction(2, 3)
     assert str(piece) == "[0, 2/3]"
-
-
-def test_query_counter_merge():
-    a = QueryCounter(eval_count=2, cut_count=1)
-    a.merge(QueryCounter(eval_count=3, cut_count=4))
-    assert (a.eval_count, a.cut_count) == (5, 5)
 
 
 class TestValuation:
@@ -124,14 +118,6 @@ class TestQueries:
 
     def test_cut_query_clamps_unreachable_to_one(self):
         assert cut_query(LEFT_HALF, Fraction(1, 2), Fraction(1, 3)) == 1
-
-    @given(valuations(), lattice_points(), lattice_points(),
-           st.fractions(min_value=0, max_value=1))
-    def test_divide_point_splits_exactly(self, v, x, y, lam):
-        x, y = min(x, y), max(x, y)
-        z = divide_point(v, x, y, lam)
-        assert x <= z <= y
-        assert naive_value(v, x, z) == lam * naive_value(v, x, y)
 
 
 class TestInstance:

@@ -152,6 +152,13 @@ def test_validation_failures_exit_2_with_json_diagnostics(tmp_path, capsys):
         assert code == EXIT_INVALID, name
         assert json.loads(err)["error"] == "validation", name
 
+    # an output path in a missing directory, which also used to exit 1
+    missing = str(tmp_path / "missing" / "out.json")
+    for args in [["solve", str(inst), "--delta", "1/10"], ["gen", "--n", "2"]]:
+        code, _, err = run(args + ["-o", missing], capsys)
+        assert code == EXIT_INVALID, args[0]
+        assert json.loads(err)["error"] == "validation", args[0]
+
 
 def test_bounded_rejects_too_many_distinct_valuations(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys, n=4, family="random", seed=2)

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import cakecut.solver
 from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
-                     generate, interval, merge_final, phase_one, solve, solve_mult)
+                     generate, interval, merge_final, phase_one, phase_two, solve, solve_mult)
 from cakecut.solver import GapPool, _Gap
 from oracles import worst_envy
-from reference_solver import growth_phase
+from reference_solver import appending_phase, growth_phase
 from strategies import instances
 
 DELTA = Fraction(1, 10)
@@ -140,6 +141,44 @@ def test_growth_phase_matches_the_literal_loop_on_random_instances(inst):
     assert growth(inst) == growth_phase(inst, DELTA)
 
 
+def appending(inst, delta=DELTA):
+    config = SolverConfig(delta=delta)
+    trace = Trace()
+    partial = phase_one(inst, config)
+    pieces = phase_two(partial, inst, config, None, trace)
+    return (pieces, trace.phase2_iterations, trace.cycle_rotations), partial
+
+
+@pytest.mark.parametrize("family", ["random", "identical", "blocks", "grouped"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_appending_phase_matches_the_literal_loop(family, n):
+    for seed in range(2):
+        inst = generate(GeneratorSpec(n=n, family=family, seed=seed))
+        result, partial = appending(inst)
+        assert result == appending_phase(partial, inst, DELTA)
+    if n <= 5:
+        result, partial = appending(inst, Fraction(1, 80))
+        assert result == appending_phase(partial, inst, Fraction(1, 80))
+
+
+@pytest.mark.parametrize("n, seed, delta", [(3, 0, Fraction(1, 80)), (3, 6, Fraction(1, 40)),
+                                            (5, 1, Fraction(1, 40))])
+def test_appending_phase_matches_the_literal_loop_through_a_rotation(n, seed, delta):
+    # random instances whose appending phase rotates an envy cycle; the
+    # family grid above never does
+    inst = generate(GeneratorSpec(n=n, family="random", seed=seed))
+    result, partial = appending(inst, delta)
+    assert result[2] == 1
+    assert result == appending_phase(partial, inst, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_n=5))
+def test_appending_phase_matches_the_literal_loop_on_random_instances(inst):
+    result, partial = appending(inst)
+    assert result == appending_phase(partial, inst, DELTA)
+
+
 def test_growth_loop_stops_at_its_budget(monkeypatch):
     # an award that never changes anything would loop forever; the budget
     # check must stop it and fail the report, with or without asserts
@@ -147,6 +186,19 @@ def test_growth_loop_stops_at_its_budget(monkeypatch):
     _, trace, report = solve(two_agent_instance(), SolverConfig(delta=DELTA))
     assert trace.phase1_iterations == 41  # floor(n^2/delta) + 1
     assert "growth_iterations_within_budget" in {c.name for c in report.failures()}
+
+
+def test_appending_loop_stops_at_its_budget(monkeypatch):
+    # a cut query that returns its start point makes every crumb empty, so
+    # more than n gaps remain forever; the budget check must stop the loop
+    # (with or without asserts) and the report must say so
+    monkeypatch.setattr(cakecut.solver, "cut_query", lambda v, x, nu, counter=None: x)
+    inst = generate(GeneratorSpec(n=3, family="blocks", seed=0))
+    pieces, trace, report = solve(inst, SolverConfig(delta=DELTA))
+    assert trace.phase2_iterations == 91  # floor(n^2/delta) + 1
+    assert {c.name for c in report.failures()} == {"complete_cover",
+                                                   "appending_iterations_within_budget"}
+    assert len(pieces) == inst.n
 
 
 class TestGapPool:
