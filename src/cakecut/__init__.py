@@ -1,9 +1,10 @@
 """Connected cake cutting with exact rational arithmetic.
 
 The package divides the unit interval among n agents with piecewise-constant
-valuations so that every agent gets one connected piece and no agent envies
-another by more than 1/4 + 2*delta/n, using a number of evaluation and cut
-queries bounded independently of how complicated the valuations are.  A
+valuations so that each agent gets one connected piece (or nothing, which is
+possible only when delta >= n/(2n-1)) and no agent envies another by more
+than 1/4 + 2*delta/n, using a number of evaluation and cut queries bounded
+independently of how complicated the valuations are.  A
 companion solver trades the connectivity guarantee's strength for an
 arbitrarily small envy bound when agents share few distinct valuations.
 Every claimed bound is re-verified with Fraction arithmetic by the audit
@@ -22,7 +23,7 @@ from .cake import (
     interval,
     validate,
 )
-from .hatvalue import HatValue, hat_cut, hat_eval, is_bifurcating
+from .hatvalue import hat_cut, hat_eval, is_bifurcating
 from .allocation import EnvyGraph, check_pieces, unassigned_gaps
 from .audit import (
     AuditReport,
@@ -52,7 +53,6 @@ __all__ = [
     "Check",
     "EnvyGraph",
     "GeneratorSpec",
-    "HatValue",
     "Instance",
     "Interval",
     "Piece",

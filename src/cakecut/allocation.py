@@ -59,7 +59,7 @@ def unassigned_gaps(pieces: Pieces) -> list[Interval]:
 def hat_matrix(pieces: Pieces, valuations: Sequence[Valuation],
                counter: Optional[QueryCounter] = None) -> list[list[Fraction]]:
     """H[i][j] = hat value, for agent i, of the piece agent j holds."""
-    return [[hat_eval(v, p, counter).value for p in pieces] for v in valuations]
+    return [[hat_eval(v, p, counter) for p in pieces] for v in valuations]
 
 
 def envy_edges(matrix: list[list[Fraction]]) -> list[set[int]]:
@@ -182,7 +182,7 @@ class EnvyGraph:
         self.pieces[s] = piece
         m = self.matrix
         for i, v in enumerate(self.valuations):
-            m[i][s] = hat_eval(v, piece, self.counter).value
+            m[i][s] = hat_eval(v, piece, self.counter)
         for j in [j for j in self.succ[s] if m[s][j] <= m[s][s]]:
             self.succ[s].discard(j)
             self.in_deg[j] -= 1

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from typing import Optional, Sequence
 
-from .allocation import check_pieces, unassigned_gaps
+from .allocation import check_pieces, hat_matrix, unassigned_gaps
 from .cake import (ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation,
                    open_unit)
-from .hatvalue import HALF, QUARTER, hat_eval, is_bifurcating
+from .hatvalue import HALF, QUARTER
 
 
 @dataclass
@@ -122,7 +122,8 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
     """Invariants that must hold in the partial allocation at a phase boundary.
 
     ``phase`` tags the check names ("phase1_end" or "phase2_end").  All five
-    families are recomputed from scratch:
+    families are recomputed from scratch, in one pass per agent over the hat
+    matrices of the pieces and of the gaps:
 
     * no_remaining_claim  -- no agent hat-values any gap at or above its own
       hat value plus delta/n (the growth loop's exit condition; phase 1 only);
@@ -133,76 +134,52 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
     * bifurcating_margin  -- when P_i is not bifurcating for i but P_j is,
       either v_i(P_j) < 1/4 + delta/n or the cake right of P_j is worth more
       than 1/2 - delta/n to i.
+
+    A hat value below 1 is the plain value, so plain values are looked up
+    only for intervals that are bifurcating (hat value 1).  Each witness is
+    the first failure agent by agent, except that a remaining claim names
+    the leftmost gap still claimed.
     """
-    n = len(valuations)
-    step = delta / n
+    step = delta / len(valuations)
     gaps = unassigned_gaps(pieces)
-    hats = [hat_eval(v, p).value for v, p in zip(valuations, pieces)]
-    checks: list[Check] = []
-
-    if phase == "phase1_end":
-        bad = None
-        for gap in gaps:
-            for i, v in enumerate(valuations):
-                if hat_eval(v, gap).value >= hats[i] + step:
-                    bad = f"{_agent(i)} still claims gap {gap}"
-                    break
-            if bad:
-                break
-        checks.append(Check(f"{phase}:no_remaining_claim", bad is None, bad))
-
-    bad = None
+    piece_hats, gap_hats = hat_matrix(pieces, valuations), hat_matrix(gaps, valuations)
+    claims: list[tuple[int, int]] = []
+    bad: dict[str, str] = {}
     for i, v in enumerate(valuations):
-        for j, p in enumerate(pieces):
-            if j != i and v.value_of(p) > hats[i] + step:
-                bad = f"{_agent(i)} values {_agent(j)}'s piece at {v.value_of(p)} > {hats[i]} + {step}"
-                break
-        if bad:
-            break
-    checks.append(Check(f"{phase}:piece_envy_cap", bad is None, bad))
-
-    bad = None
-    for i, v in enumerate(valuations):
-        for gap in gaps:
-            if v.value(gap.lo, gap.hi) > hats[i] + step:
-                bad = f"{_agent(i)} values gap {gap} at {v.value(gap.lo, gap.hi)} > {hats[i]} + {step}"
-                break
-        if bad:
-            break
-    checks.append(Check(f"{phase}:gap_envy_cap", bad is None, bad))
-
-    # A strict prefix [lo_j, x), x < hi_j, reaching hat_i + delta/n would mean
-    # agent i should have taken it; the leftmost point reaching that value
-    # must therefore lie at or beyond hi_j (or not exist).
-    bad = None
-    for i, v in enumerate(valuations):
-        for j, p in enumerate(pieces):
-            if p is None:
+        own = piece_hats[i][i]
+        cap = own + step
+        claims += [(k, i) for k, h in enumerate(gap_hats[i]) if h >= cap]
+        for j, (p, h) in enumerate(zip(pieces, piece_hats[i])):
+            if j == i or p is None:
                 continue
-            y = v.leftmost_reach(p.lo, hats[i] + step)
+            worth = h if h < ONE else v.value_of(p)
+            if worth > cap:
+                bad.setdefault("piece_envy_cap",
+                               f"{_agent(i)} values {_agent(j)}'s piece at {worth} > {own} + {step}")
+            # A strict prefix [lo_j, y), y < hi_j, reaching the cap would mean
+            # agent i should have taken it; only a piece worth at least the cap
+            # can hold one (the own piece, skipped, is worth at most own < cap).
+            y = v.leftmost_reach(p.lo, cap) if worth >= cap else None
             if y is not None and y < p.hi:
-                bad = f"{_agent(i)} can reach {hats[i]} + {step} by {y} inside {_agent(j)}'s piece {p}"
-                break
-        if bad:
-            break
-    checks.append(Check(f"{phase}:no_affordable_prefix", bad is None, bad))
-
-    bad = None
-    for i, v in enumerate(valuations):
-        if is_bifurcating(v, pieces[i]):
-            continue
-        for j, p in enumerate(pieces):
-            if j == i or p is None or not is_bifurcating(v, p):
-                continue
-            if v.value_of(p) < QUARTER + step or v.value(p.hi, ONE) > HALF - step:
-                continue
-            bad = (f"{_agent(j)}'s piece {p} is bifurcating for {_agent(i)} yet worth "
-                   f"{v.value_of(p)} with only {v.value(p.hi, ONE)} to its right")
-            break
-        if bad:
-            break
-    checks.append(Check(f"{phase}:bifurcating_margin", bad is None, bad))
-    return checks
+                bad.setdefault("no_affordable_prefix", f"{_agent(i)} can reach {own} + {step} "
+                               f"by {y} inside {_agent(j)}'s piece {p}")
+            if own < ONE and h == ONE and worth >= QUARTER + step:
+                right = v.value(p.hi, ONE)
+                if right <= HALF - step:
+                    bad.setdefault("bifurcating_margin",
+                                   f"{_agent(j)}'s piece {p} is bifurcating for {_agent(i)} "
+                                   f"yet worth {worth} with only {right} to its right")
+        for gap, h in zip(gaps, gap_hats[i]):
+            worth = h if h < ONE else v.value_of(gap)
+            if worth > cap:
+                bad.setdefault("gap_envy_cap", f"{_agent(i)} values gap {gap} at {worth} > {own} + {step}")
+    if claims:
+        k, i = min(claims)
+        bad["no_remaining_claim"] = f"{_agent(i)} still claims gap {gaps[k]}"
+    names = ["piece_envy_cap", "gap_envy_cap", "no_affordable_prefix", "bifurcating_margin"]
+    if phase == "phase1_end":
+        names.insert(0, "no_remaining_claim")
+    return [Check(f"{phase}:{name}", name not in bad, bad.get(name)) for name in names]
 
 
 def check_trace_monotonicity(trace) -> Check:
@@ -221,6 +198,11 @@ def check_trace_monotonicity(trace) -> Check:
                     return Check("hat_values_nondecreasing", False,
                                  f"{_agent(i)} fell {a} -> {b}")
     return Check("hat_values_nondecreasing", True)
+
+
+def loop_budget(n: int, delta: Fraction) -> Fraction:
+    """The proved bound n^2/delta on the iterations of either solver loop."""
+    return Fraction(n * n) / delta
 
 
 def check_iteration_bounds(trace, budget: Fraction) -> list[Check]:
@@ -289,7 +271,7 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
         all_checks.append(Check("envy_within_epsilon", max_envy <= epsilon,
                                 None if max_envy <= epsilon else f"max envy {max_envy} > {epsilon}"))
     if trace is not None and delta is not None:
-        all_checks += check_iteration_bounds(trace, Fraction(len(valuations) ** 2) / delta)
+        all_checks += check_iteration_bounds(trace, loop_budget(len(valuations), delta))
     if trace is not None and getattr(trace, "level", "off") != "off":
         all_checks.append(check_trace_monotonicity(trace))
     report = AuditReport(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -148,14 +148,9 @@ class Valuation:
         goal = self.prefix(x)
         if goal >= self._cum[-1]:
             return None
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] > goal:
-                hi = mid
-            else:
-                lo = mid + 1
-        return max(x, self.breakpoints[lo - 1])
+        # First breakpoint whose cumulative mass exceeds the goal.
+        k = bisect_right(self._cum, goal)
+        return max(x, self.breakpoints[k - 1])
 
     def leftmost_reach(self, x: Fraction, target: Fraction) -> Optional[Fraction]:
         """Leftmost y in [x, 1] with mass(x..y) >= target, or None.
@@ -170,14 +165,7 @@ class Valuation:
         if goal > self._cum[-1]:
             return None
         # First breakpoint index whose cumulative mass reaches the goal.
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] >= goal:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = lo
+        k = bisect_left(self._cum, goal)
         if k == 0:
             return max(x, self.breakpoints[0])
         # Cumulative mass rises strictly inside cell k-1, so invert linearly.

@@ -14,7 +14,6 @@ value with a constant number of plain eval/cut queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,34 +23,24 @@ QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class HatValue:
-    """Hat value of a piece: 1 with the flag set, or the raw value below 1/2."""
-
-    value: Fraction
-    bifurcating: bool
-
-
 def is_bifurcating(v: Valuation, piece: Piece, counter: Optional[QueryCounter] = None) -> bool:
     """True iff the piece is worth >= 1/4 with <= 1/2 on each side of it.
 
     The empty piece is never bifurcating.  Checks short-circuit, so between
     one and three eval queries are issued.
     """
-    return hat_eval(v, piece, counter).bifurcating
+    return hat_eval(v, piece, counter) == ONE
 
 
-def hat_eval(v: Valuation, piece: Piece, counter: Optional[QueryCounter] = None) -> HatValue:
+def hat_eval(v: Valuation, piece: Piece, counter: Optional[QueryCounter] = None) -> Fraction:
     """Hat value of a piece: 1 if bifurcating, else the plain value."""
     if piece is None:
-        return HatValue(ZERO, False)
+        return ZERO
     value = eval_query(v, piece.lo, piece.hi, counter)
-    bifurcating = (
-        value >= QUARTER
-        and eval_query(v, ZERO, piece.lo, counter) <= HALF
-        and eval_query(v, piece.hi, ONE, counter) <= HALF
-    )
-    return HatValue(ONE if bifurcating else value, bifurcating)
+    if (value >= QUARTER and eval_query(v, ZERO, piece.lo, counter) <= HALF
+            and eval_query(v, piece.hi, ONE, counter) <= HALF):
+        return ONE
+    return value
 
 
 def hat_cut(v: Valuation, x: Fraction, nu: Fraction,

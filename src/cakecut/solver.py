@@ -18,8 +18,9 @@ whole remaining gap is that cheap, append all of it.  Also at most
 ``n^2/delta`` iterations.
 
 Finally each leftover gap is merged into a distinct adjacent piece, yielding
-a complete allocation of n connected pieces whose additive envy is provably
-at most ``1/4 + 2*delta/n`` and which satisfies
+a complete allocation of connected pieces, one per agent (an agent can end
+with nothing, but only when ``delta >= n/(2n-1)``), whose additive envy is
+provably at most ``1/4 + 2*delta/n`` and which satisfies
 ``v_i(I_i) >= v_i(I_j)/2 - delta/n`` for every pair -- both re-checked
 exactly, never assumed.
 """
@@ -33,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .audit import AuditReport, build_report, check_phase_invariants
+from .audit import AuditReport, build_report, check_phase_invariants, loop_budget
 from .cake import (
     ONE,
     ZERO,
@@ -227,7 +228,7 @@ class GapPool:
                 # Agents filled since seeding leave before the group is queried.
                 group[:] = [i for i in group if hat_own[i] < 1]
                 if group:
-                    reach = g.hat[vid] = hat_eval(v, g.interval(), self.counter).value
+                    reach = g.hat[vid] = hat_eval(v, g.interval(), self.counter)
             live = [i for i in group if hat_own[i] + step <= reach]
             if not live:
                 del g.groups[vid]
@@ -236,13 +237,15 @@ class GapPool:
             group[:] = live
             rep = min(live, key=lambda i: (hat_own[i], i))
             r = hat_cut(v, g.lo, hat_own[rep] + step, self.counter)
-            assert r is not None and r <= g.hi
+            if r is None or r > g.hi:
+                raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {r}, "
+                                   f"not a point of the gap {g.interval()}")
             if len(live) == 1:
                 winner = rep
             else:
                 # Everyone in the group whose target the prefix [lo, r] meets
                 # stops at r as well; the lowest index among them wins ties.
-                at_r = hat_eval(v, Interval(g.lo, r), self.counter).value
+                at_r = hat_eval(v, Interval(g.lo, r), self.counter)
                 winner = min(i for i in live if hat_own[i] + step <= at_r)
             if best is None or (r, winner) < best:
                 best = (r, winner)
@@ -263,8 +266,10 @@ class GapPool:
         r, a = claim
         released = self.pieces[a]
         piece = Interval(g.lo, r)
-        hat = hat_eval(self.valuations[self.vids[a]], piece, self.counter).value
-        assert hat >= self.hat_own[a] + self.step
+        hat = hat_eval(self.valuations[self.vids[a]], piece, self.counter)
+        if hat < self.hat_own[a] + self.step:
+            raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
+                               f"to {hat}, by less than {self.step}")
         self.pieces[a] = piece
         self.hat_own[a] = hat
         if hat >= 1:
@@ -290,7 +295,7 @@ def phase_one(instance: Instance, config: SolverConfig,
     ``growth_iterations_within_budget`` check instead of looping on.
     """
     pool = GapPool(instance, config.delta / instance.n, counter)
-    budget = Fraction(instance.n ** 2) / config.delta
+    budget = loop_budget(instance.n, config.delta)
     iterations = 0
     while iterations <= budget and (a := pool.award()) is not None:
         iterations += 1
@@ -318,17 +323,18 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     if len(gaps) <= n:
         if trace is not None:
             trace.snap("phase2_end", pieces, gaps,
-                       [hat_eval(v, p).value for v, p in zip(valuations, pieces)])
+                       [hat_eval(v, p) for v, p in zip(valuations, pieces)])
         return list(pieces)
 
     graph = EnvyGraph(pieces, valuations, counter)
     step = config.delta / n
-    budget = Fraction(n * n) / config.delta
+    budget = loop_budget(n, config.delta)
     iterations = 0
     while len(gaps) > n and iterations <= budget:
         # More gaps than agents forces a full piece/gap alternation: every
         # agent holds something and has a gap immediately to its right.
-        assert len(gaps) == n + 1 and all(p is not None for p in graph.pieces)
+        if len(gaps) != n + 1 or None in graph.pieces:
+            raise RuntimeError(f"{len(gaps)} gaps do not alternate with the pieces of {n} agents")
         cycles = graph.resolve()
         if trace is not None:
             trace.cycle_rotations += len(cycles)
@@ -338,7 +344,8 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
         s = graph.source()
         r_s = graph.pieces[s].hi
         k = bisect_left(gaps, r_s, key=lambda g: g.lo)
-        assert k < len(gaps) and gaps[k].lo == r_s, "source must have a gap on its right"
+        if k == len(gaps) or gaps[k].lo != r_s:
+            raise RuntimeError(f"source agent {s + 1} has no gap on its right at {r_s}")
         x = min(cut_query(v, r_s, step, counter) for v in valuations)
         if x >= gaps[k].hi:
             x = gaps.pop(k).hi
@@ -366,6 +373,13 @@ def merge_final(pieces: Sequence[Piece]) -> list[Piece]:
     is handed whole to the lowest-index empty-handed agent.  A gap left over
     once those run out stays uncovered, and the report's ``complete_cover``
     check fails.
+
+    Inside ``solve`` an agent reaches the merge empty-handed only when
+    ``delta >= n/(2n-1)``.  Phase 2 moves pieces only while more than n gaps
+    force every agent to hold one, and never empties a hand, so such an
+    agent held nothing when phase 1 ended.  Its hat value was then 0, so it
+    valued each of the at most n-1 pieces and at most n gaps at no more than
+    ``delta/n``; together they cover the cake, so ``1 <= (2n-1)*delta/n``.
     """
     out = list(pieces)
     ends = {p.hi: i for i, p in enumerate(out) if p is not None}
@@ -393,9 +407,10 @@ def solve(instance: Instance, config: SolverConfig,
           mult_c: Optional[Fraction] = None) -> tuple[list[Piece], Trace, AuditReport]:
     """Run both phases plus the merge and audit the result exactly.
 
-    Returns the complete allocation (one piece per agent, jointly covering
-    [0,1]), the execution trace, and an audit report in which every proved
-    bound has been re-checked with exact arithmetic.  With ``mult_c`` (and
+    Returns the complete allocation (one connected piece per agent, or
+    ``None`` for an agent left empty-handed, see ``merge_final``; jointly
+    covering [0,1]), the execution trace, and an audit report in which every
+    proved bound has been re-checked with exact arithmetic.  With ``mult_c`` (and
     ``config.delta == mult_c/8``, as ``solve_mult`` sets it) the report also
     audits the multiplicative bounds.
     """
@@ -412,7 +427,7 @@ def solve(instance: Instance, config: SolverConfig,
     checks += check_phase_invariants(partial, valuations, config.delta, "phase2_end")
     allocation = merge_final(partial)
     trace.snap("final", allocation, [],
-               [hat_eval(v, p).value for v, p in zip(valuations, allocation)])
+               [hat_eval(v, p) for v, p in zip(valuations, allocation)])
 
     params = {"delta": config.delta}
     if mult_c is not None:

@@ -112,3 +112,48 @@ def replay_edge_counts(matrix, cycles) -> tuple[list[int], list[list[Fraction]]]
                 row[agent] = old[succ]
         counts.append(edges())
     return counts, matrix
+
+
+def phase_invariants(pieces, valuations, delta, phase):
+    """(name, passed) for each phase-boundary invariant, straight from its definition.
+
+    Gaps are the uncovered stretches between sorted pieces; every value is a
+    ``naive_value`` sum and every hat value a ``naive_hat``.  With
+    ``cap_i = hat_i(P_i) + delta/n``:
+
+    * no_remaining_claim (phase 1 only): no gap has hat value >= cap_i;
+    * piece_envy_cap: v_i(P_j) <= cap_i for j != i;
+    * gap_envy_cap: v_i(U) <= cap_i for every gap U;
+    * no_affordable_prefix: the leftmost point reaching cap_i from the start
+      of any piece is not strictly inside it;
+    * bifurcating_margin: if P_i is not bifurcating for i but P_j (j != i)
+      is, then v_i(P_j) < 1/4 + delta/n or v_i(right of P_j) > 1/2 - delta/n.
+    """
+    step = Fraction(delta) / len(valuations)
+    held = sorted(p for p in pieces if p is not None)
+    ends = [Fraction(0)] + [x for p in held for x in (p.lo, p.hi)] + [Fraction(1)]
+    gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+
+    def hat(v, p):
+        return Fraction(0) if p is None else naive_hat(v, p.lo, p.hi)
+
+    def worth(v, p):
+        return Fraction(0) if p is None else naive_value(v, p.lo, p.hi)
+
+    caps = [hat(v, p) + step for v, p in zip(valuations, pieces)]
+    others = [(i, v, p) for i, v in enumerate(valuations)
+              for j, p in enumerate(pieces) if j != i and p is not None]
+    verdicts = []
+    if phase == "phase1_end":
+        verdicts.append(("no_remaining_claim", all(
+            naive_hat(v, a, b) < cap for v, cap in zip(valuations, caps) for a, b in gaps)))
+    verdicts.append(("piece_envy_cap", all(worth(v, p) <= caps[i] for i, v, p in others)))
+    verdicts.append(("gap_envy_cap", all(
+        naive_value(v, a, b) <= cap for v, cap in zip(valuations, caps) for a, b in gaps)))
+    reaches = [(naive_cut(v, p.lo, caps[i]), p.hi) for i, v in enumerate(valuations)
+               for p in pieces if p is not None]
+    verdicts.append(("no_affordable_prefix", all(y is None or y >= hi for y, hi in reaches)))
+    verdicts.append(("bifurcating_margin", all(
+        hat(v, pieces[i]) == 1 or hat(v, p) < 1 or worth(v, p) < QUARTER + step
+        or naive_value(v, p.hi, 1) > HALF - step for i, v, p in others)))
+    return [(f"{phase}:{name}", passed) for name, passed in verdicts]

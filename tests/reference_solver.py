@@ -26,11 +26,11 @@ def growth_phase(instance, delta):
         for gap in unassigned_gaps(pieces):
             claims = [(hat_cut(v, gap.lo, hats[i] + step), i)
                       for i, v in enumerate(valuations)
-                      if hat_eval(v, gap).value >= hats[i] + step]
+                      if hat_eval(v, gap) >= hats[i] + step]
             if claims:
                 r, i = min(claims)
                 pieces[i] = Interval(gap.lo, r)
-                hats[i] = hat_eval(valuations[i], pieces[i]).value
+                hats[i] = hat_eval(valuations[i], pieces[i])
                 iterations += 1
                 break
         else:

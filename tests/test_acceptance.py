@@ -156,12 +156,12 @@ def test_cycle_elimination_1000_partial_allocations():
         for owner, slot in zip(owners, slots):
             pieces[owner] = slot
 
-        before = [hat_eval(v, p).value for v, p in zip(vals, pieces)]
+        before = [hat_eval(v, p) for v, p in zip(vals, pieces)]
         graph = EnvyGraph(pieces, vals)
         start = [row[:] for row in graph.matrix]
         cycles = graph.resolve()
         fixed = graph.pieces
-        after = [hat_eval(v, p).value for v, p in zip(vals, fixed)]
+        after = [hat_eval(v, p) for v, p in zip(vals, fixed)]
 
         assert Counter(fixed) == Counter(pieces)
         assert all(b <= a for b, a in zip(before, after))
@@ -196,7 +196,7 @@ def test_hat_cut_matches_grid_oracle_10000_triples():
             else:
                 assert coarse is not None, (v, x, nu, exact)
                 assert exact <= coarse < exact + step, (v, x, nu, exact, coarse)
-                assert hat_eval(v, Interval(x, exact)).value >= nu
+                assert hat_eval(v, Interval(x, exact)) >= nu
             checked += 1
     elapsed = time.monotonic() - started
     assert checked == 10000

@@ -99,13 +99,13 @@ class TestCycleElimination:
     def test_acyclic_multiset_preserving_and_monotone(self, pv):
         """Output graph acyclic; pieces permuted; own hat values never drop."""
         pieces, vals = pv
-        before = [hat_eval(v, p).value for v, p in zip(vals, pieces)]
+        before = [hat_eval(v, p) for v, p in zip(vals, pieces)]
         graph = EnvyGraph(pieces, vals)
         graph.resolve()
         fixed = graph.pieces
 
         assert Counter(fixed) == Counter(pieces)
-        after = [hat_eval(v, p).value for v, p in zip(vals, fixed)]
+        after = [hat_eval(v, p) for v, p in zip(vals, fixed)]
         assert all(b <= a for b, a in zip(before, after))
         assert graph.hats() == after
         EnvyGraph(fixed, vals).source()  # must not raise

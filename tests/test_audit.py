@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import cakecut.audit as audit
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
                      brute_force_min_envy, build_report, check_mult_bounds,
                      check_phase_invariants, check_theorem_bounds, interval,
@@ -16,6 +19,8 @@ from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
 from cakecut.audit import (check_iteration_bounds, check_trace_monotonicity,
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
+from oracles import phase_invariants
+from strategies import partial_allocations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 LEFTY = Valuation(["0", "1/2", "1"], ["2", "0"])
@@ -90,6 +95,25 @@ def test_phase_invariants_flag_remaining_claims():
     assert not checks["phase1_end:gap_envy_cap"].passed
 
 
+def test_a_gap_worth_exactly_the_cap_is_still_claimed():
+    # agent 1 holds 1/10 and values the gap [1/10, 1/4] at 3/20 = 1/10 + delta/2
+    pieces = [interval(0, "1/10"), interval("1/4", 1)]
+    checks = {c.name: c for c in
+              check_phase_invariants(pieces, TWO_UNIFORM, DELTA, "phase1_end")}
+    assert checks["phase1_end:no_remaining_claim"].witness == (
+        "agent 1 still claims gap [1/10, 1/4]")
+    assert checks["phase1_end:gap_envy_cap"].passed
+
+
+def test_a_remaining_claim_names_the_leftmost_gap_claimed():
+    # agent 1 (right half only) claims only the right gap, agent 2 (left half
+    # only) only the left one: the witness is the leftmost gap, not agent 1
+    righty = Valuation(["0", "1/2", "1"], ["0", "2"])
+    checks = check_phase_invariants([None, interval("2/5", "3/5")], [righty, LEFTY], DELTA,
+                                    "phase1_end")
+    assert checks[0].witness == "agent 2 still claims gap [0, 2/5]"
+
+
 def test_phase_invariants_flag_affordable_prefixes():
     # agent 2 (uniform) holds a sliver while agent 1 owns nearly everything;
     # a prefix of piece 1 already reaches hat_2 + delta/2
@@ -98,6 +122,43 @@ def test_phase_invariants_flag_affordable_prefixes():
               check_phase_invariants(pieces, [LEFTY, UNIFORM], DELTA, "phase2_end")}
     assert not checks["phase2_end:no_affordable_prefix"].passed
     assert not checks["phase2_end:piece_envy_cap"].passed
+
+
+def test_phase_invariants_flag_a_prefix_of_a_piece_worth_exactly_the_cap():
+    # empty-handed agent 1 values agent 2's piece at exactly its cap delta/2,
+    # all of it left of 1/2, so the strict prefix [19/40, 1/2] already pays
+    pieces = [None, interval("19/40", "3/4")]
+    checks = {c.name: c for c in
+              check_phase_invariants(pieces, [LEFTY, UNIFORM], DELTA, "phase2_end")}
+    assert checks["phase2_end:piece_envy_cap"].passed
+    assert checks["phase2_end:no_affordable_prefix"].witness == (
+        "agent 1 can reach 0 + 1/20 by 1/2 inside agent 2's piece [19/40, 3/4]")
+
+
+def test_phase_invariants_flag_a_thin_bifurcation_margin():
+    # agent 1's sliver is not bifurcating, agent 2's [1/10, 3/5] is, and it is
+    # worth 1/2 >= 1/4 + delta/2 with only 2/5 <= 1/2 - delta/2 to its right
+    pieces = [interval(0, "1/10"), interval("1/10", "3/5")]
+    checks = {c.name: c for c in
+              check_phase_invariants(pieces, TWO_UNIFORM, DELTA, "phase2_end")}
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "phase2_end:piece_envy_cap", "phase2_end:gap_envy_cap",
+        "phase2_end:no_affordable_prefix", "phase2_end:bifurcating_margin"]
+    assert checks["phase2_end:bifurcating_margin"].witness == (
+        "agent 2's piece [1/10, 3/5] is bifurcating for agent 1 yet worth 1/2 "
+        "with only 2/5 to its right")
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_allocations(), st.sampled_from([Fraction(1, 2), Fraction(1, 4), DELTA,
+                                               Fraction(1, 40)]),
+       st.sampled_from(["phase1_end", "phase2_end"]))
+def test_phase_invariants_match_their_definitions(allocation, delta, phase):
+    pieces, valuations = allocation
+    checks = check_phase_invariants(pieces, valuations, delta, phase)
+    assert [(c.name, c.passed) for c in checks] == phase_invariants(pieces, valuations,
+                                                                    delta, phase)
+    assert all((c.witness is None) == c.passed for c in checks)
 
 
 def test_trace_monotonicity_detects_a_drop():

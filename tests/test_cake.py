@@ -75,6 +75,13 @@ class TestValuation:
             assert naive_value(v, x, r) >= target
             assert naive_cut(v, x, target) == r
 
+    def test_leftmost_reach_stops_before_a_zero_density_stretch(self):
+        # [0, 1/4] already holds 1/2, and nothing accrues on [1/4, 1/2]
+        v = Valuation(["0", "1/4", "1/2", "1"], ["2", "0", "1"])
+        assert v.leftmost_reach(Fraction(0), Fraction(1, 2)) == Fraction(1, 4)
+        assert v.leftmost_reach(Fraction(0), Fraction(1)) == 1
+        assert v.next_mass(Fraction(1, 4)) == Fraction(1, 2)
+
 
 def test_validate_rejects_malformed_valuations():
     bad = [

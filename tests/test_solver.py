@@ -1,6 +1,8 @@
 """End-to-end solver behaviour: the two phases, the merge, and the audits."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,63 @@ def test_appending_loop_stops_at_its_budget(monkeypatch):
     assert {c.name for c in report.failures()} == {"complete_cover",
                                                    "appending_iterations_within_budget"}
     assert len(pieces) == inst.n
+
+
+@pytest.mark.parametrize("cut", ["short", "none"])
+def test_a_wrong_hat_cut_raises_even_without_asserts(monkeypatch, cut):
+    # a point short of the real cut gives an award that raises the winner's
+    # hat value by less than delta/n; no point at all leaves no prefix
+    real = cakecut.solver.hat_cut
+
+    def wrong(v, x, nu, counter=None):
+        y = real(v, x, nu, counter)
+        return None if cut == "none" else x + (y - x) / 2
+    monkeypatch.setattr(cakecut.solver, "hat_cut", wrong)
+    with pytest.raises(RuntimeError, match="by less than" if cut == "short" else "not a point"):
+        solve(two_agent_instance(), SolverConfig(delta=DELTA))
+
+
+def test_appending_loop_rejects_gaps_that_do_not_alternate(monkeypatch):
+    # splitting the last gap in two breaks the piece/gap alternation that
+    # more than n gaps imply
+    real = cakecut.solver.unassigned_gaps
+
+    def split_last(pieces):
+        *gaps, last = real(pieces)
+        mid = (last.lo + last.hi) / 2
+        return gaps + [interval(last.lo, mid), interval(mid, last.hi)]
+    monkeypatch.setattr(cakecut.solver, "unassigned_gaps", split_last)
+    partial = [interval("1/5", "2/5"), interval("3/5", "4/5")]
+    with pytest.raises(RuntimeError, match="do not alternate"):
+        phase_two(partial, two_agent_instance(), SolverConfig(delta=DELTA))
+
+
+def test_solver_has_no_assert_statements():
+    # python -O strips asserts, so every solver check must be a real one
+    tree = ast.parse(Path(cakecut.solver.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def solve_random_at_large_delta(n, seed):
+    # an agent empty-handed after phase 1 values all of the cake at most
+    # (2n-1)*delta/n, so it needs delta >= n/(2n-1); 9/10 is enough here
+    inst = generate(GeneratorSpec(n=n, family="random", seed=seed))
+    pieces, trace, report = solve(inst, SolverConfig(delta=Fraction(9, 10)))
+    assert report.passed, report.failures()
+    return pieces, trace.snapshots[1], report
+
+
+def test_a_large_delta_can_leave_an_agent_with_nothing():
+    pieces, _, report = solve_random_at_large_delta(3, 12)
+    assert pieces[2] is None
+    assert report.max_envy == Fraction(7, 13)
+
+
+def test_solve_hands_a_gap_with_no_free_neighbour_to_an_empty_handed_agent():
+    pieces, phase2_end, _ = solve_random_at_large_delta(2, 13)
+    assert phase2_end.pieces[1] is None
+    # agent 1 absorbs the left gap, so the right one goes to agent 2
+    assert pieces[1] == phase2_end.gaps[-1] == interval("329/480", 1)
 
 
 class TestGapPool:
