@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .allocation import check_pieces, hat_matrix, unassigned_gaps
 from .cake import (ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation,
                    open_unit)
 from .hatvalue import HALF, QUARTER
+
+if TYPE_CHECKING:  # the solver imports this module
+    from .solver import Trace
 
 
 @dataclass
@@ -182,16 +185,9 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
     return [Check(f"{phase}:{name}", name not in bad, bad.get(name)) for name in names]
 
 
-def check_trace_monotonicity(trace) -> Check:
-    """Per-agent hat values never decrease over the recorded run."""
-    series = []
-    events = getattr(trace, "events", None) or []
-    if events:
-        series.append([e.hat_values for e in events])
-    snapshots = getattr(trace, "snapshots", None) or []
-    if snapshots:
-        series.append([s.hat_values for s in snapshots])
-    for seq in series:
+def check_trace_monotonicity(trace: Trace) -> Check:
+    """Per-agent hat values never decrease over the recorded events, nor over the snapshots."""
+    for seq in ([e.hat_values for e in trace.events], [s.hat_values for s in trace.snapshots]):
         for prev, cur in zip(seq, seq[1:]):
             for i, (a, b) in enumerate(zip(prev, cur)):
                 if b < a:
@@ -205,18 +201,11 @@ def loop_budget(n: int, delta: Fraction) -> Fraction:
     return Fraction(n * n) / delta
 
 
-def check_iteration_bounds(trace, budget: Fraction) -> list[Check]:
+def check_iteration_bounds(trace: Trace, budget: Fraction) -> list[Check]:
     """Both solver loops stayed within the n^2/delta iteration budget."""
-    return [
-        Check("growth_iterations_within_budget",
-              trace.phase1_iterations <= budget,
-              None if trace.phase1_iterations <= budget
-              else f"{trace.phase1_iterations} > {budget}"),
-        Check("appending_iterations_within_budget",
-              trace.phase2_iterations <= budget,
-              None if trace.phase2_iterations <= budget
-              else f"{trace.phase2_iterations} > {budget}"),
-    ]
+    return [Check(name, count <= budget, None if count <= budget else f"{count} > {budget}")
+            for name, count in (("growth_iterations_within_budget", trace.phase1_iterations),
+                                ("appending_iterations_within_budget", trace.phase2_iterations))]
 
 
 def check_grid_size(grid: Sequence[Fraction], n: int) -> Check:
@@ -232,7 +221,7 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
                  params: Optional[dict] = None,
                  checks: Sequence[Check] = (),
                  counter: Optional[QueryCounter] = None,
-                 trace=None) -> AuditReport:
+                 trace: Optional[Trace] = None) -> AuditReport:
     """Audit an allocation against the parameters it was solved with.
 
     The exact value matrix is built once; the envy/ratio summaries and every
@@ -246,9 +235,9 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
     * ``epsilon`` -- envy_within_epsilon;
 
     then, given a trace, the n^2/delta loop budgets (when delta is known) and
-    hat-value monotonicity (unless tracing was off).  Raises
-    :class:`ValidationError` for an unknown key, a value outside (0,1), or
-    ``delta`` other than ``c/8`` when both are given.
+    hat-value monotonicity.  Raises :class:`ValidationError` for an unknown
+    key, a value outside (0,1), or ``delta`` other than ``c/8`` when both are
+    given.
     """
     params = params or {}
     unknown = sorted(set(params) - set(PARAMS))
@@ -272,7 +261,7 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
                                 None if max_envy <= epsilon else f"max envy {max_envy} > {epsilon}"))
     if trace is not None and delta is not None:
         all_checks += check_iteration_bounds(trace, loop_budget(len(valuations), delta))
-    if trace is not None and getattr(trace, "level", "off") != "off":
+    if trace is not None:
         all_checks.append(check_trace_monotonicity(trace))
     report = AuditReport(
         values=values,
@@ -341,5 +330,6 @@ def brute_force_min_envy(instance: Instance, resolution: int) -> tuple[Fraction,
                 best, best_bounds, best_perm = worst, bounds, perm
                 if worst == 0:
                     return best, assemble(bounds, perm)
-    assert best is not None and best_bounds is not None and best_perm is not None
+    if best is None:  # cannot happen: the grid is non-empty, so some cut is tried
+        raise RuntimeError("no grid allocation was tried")
     return best, assemble(best_bounds, best_perm)

@@ -29,6 +29,7 @@ from .cake import (
     cut_query,
     eval_query,
     open_unit,
+    validate,
 )
 
 
@@ -38,15 +39,20 @@ def cut_point_grid(v: Valuation, epsilon: Fraction,
 
     Every interior point is the leftmost one adding exactly epsilon of mass
     after its predecessor, so consecutive points bound the value of any
-    sub-interval lying between them by epsilon.
+    sub-interval lying between them by epsilon.  The points strictly
+    increase: mark t has prefix mass t*epsilon <= (ceil(1/epsilon) - 1)*epsilon
+    < 1, so it lies strictly between its predecessor (epsilon less mass) and
+    1.  Raises :class:`ValidationError` for a malformed valuation.
     """
+    problem = validate(v)
+    if problem is not None:
+        raise ValidationError(problem)
     epsilon = open_unit("epsilon", epsilon)
     steps = math.ceil(1 / epsilon)
     points = [ZERO]
     for _ in range(steps - 1):
         points.append(cut_query(v, points[-1], epsilon, counter))
     points.append(ONE)
-    assert all(a < b for a, b in zip(points, points[1:])), "grid must be strictly increasing"
     return points
 
 

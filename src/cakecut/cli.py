@@ -31,7 +31,7 @@ from .generate import FAMILIES, GeneratorSpec, generate
 from .serialize import (allocation_from_obj, allocation_to_obj, format_fraction,
                         instance_from_obj, instance_to_obj, parse_fraction,
                         read_json, report_to_obj, write_json)
-from .solver import TRACE_LEVELS, SolverConfig, solve, solve_mult
+from .solver import SolverConfig, solve, solve_mult
 from .bounded import solve_bounded
 
 EXIT_OK = 0
@@ -93,8 +93,7 @@ def _summarize(kind: str, out: Path, report) -> None:
 def _cmd_solve(args) -> int:
     instance = instance_from_obj(read_json(args.instance))
     delta = parse_fraction(args.delta)
-    config = SolverConfig(delta=delta, trace_level=args.trace_level)
-    pieces, _, report = solve(instance, config)
+    pieces, _, report = solve(instance, SolverConfig(delta=delta))
     out = _out_path(args.output, "allocation.json")
     write_json(out, allocation_to_obj(pieces, {"delta": delta}, report))
     _summarize("solve", out, report)
@@ -104,7 +103,7 @@ def _cmd_solve(args) -> int:
 def _cmd_solve_mult(args) -> int:
     instance = instance_from_obj(read_json(args.instance))
     c = parse_fraction(args.c)
-    pieces, _, report = solve_mult(instance, c, trace_level=args.trace_level)
+    pieces, _, report = solve_mult(instance, c)
     out = _out_path(args.output, "allocation.json")
     write_json(out, allocation_to_obj(pieces, {"c": c, "delta": c / 8}, report))
     _summarize("solve-mult", out, report)
@@ -153,7 +152,7 @@ def _cmd_bench(args) -> int:
         spec = GeneratorSpec(n=agent_counts[k % len(agent_counts)], family=args.family,
                              seed=args.seed + k, max_pieces=args.max_pieces)
         instance = generate(spec)
-        pieces, _, report = solve(instance, SolverConfig(delta=delta, trace_level="off"))
+        pieces, _, report = solve(instance, SolverConfig(delta=delta))
         row = {
             "seed": spec.seed,
             "n": spec.n,
@@ -216,14 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="connected allocation, additive guarantee")
     p.add_argument("instance")
     p.add_argument("--delta", required=True, help='slack parameter, e.g. "1/10"')
-    p.add_argument("--trace-level", default="phase_boundaries", choices=TRACE_LEVELS)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("solve-mult", help="multiplicative mode (delta = c/8)")
     p.add_argument("instance")
     p.add_argument("--c", required=True, help='ratio slack, e.g. "1/10"')
-    p.add_argument("--trace-level", default="phase_boundaries", choices=TRACE_LEVELS)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_solve_mult)
 

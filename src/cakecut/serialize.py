@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .audit import PARAMS, AuditReport
 from .cake import Instance, Interval, Piece, ValidationError, Valuation
 
-_FRACTION_RE = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z")
+_FRACTION_RE = re.compile(r"\A[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 
 def parse_fraction(text) -> Fraction:
@@ -144,7 +144,7 @@ def allocation_from_obj(obj) -> tuple[list[Piece], dict[str, Fraction]]:
     pieces: list[Piece] = [None] * n
     seen = set()
     for row in rows:
-        if not isinstance(row, dict) or not isinstance(row.get("agent"), int):
+        if not isinstance(row, dict) or type(row.get("agent")) is not int:  # JSON true is a bool
             raise ValidationError("each piece needs an integer 'agent' field")
         agent = row["agent"]
         if not (1 <= agent <= n) or agent in seen:

@@ -52,7 +52,7 @@ from .hatvalue import hat_cut, hat_eval
 
 log = logging.getLogger(__name__)
 
-TRACE_LEVELS = ("off", "phase_boundaries", "full")
+TRACE_LEVELS = ("phase_boundaries", "full")
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ class TraceEvent:
 
 @dataclass
 class Trace:
+    """Phase-end and final snapshots, loop counters, and (level 'full') per-iteration events."""
+
     level: str = "phase_boundaries"
     snapshots: list[Snapshot] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
@@ -98,8 +100,7 @@ class Trace:
 
     def snap(self, label: str, pieces: Sequence[Piece], gaps: Sequence[Interval],
              hats: Sequence[Fraction]) -> None:
-        if self.level != "off":
-            self.snapshots.append(Snapshot(label, list(pieces), list(gaps), list(hats)))
+        self.snapshots.append(Snapshot(label, list(pieces), list(gaps), list(hats)))
 
     def event(self, phase: int, kind: str, agent: int, piece: Piece,
               hats: Sequence[Fraction]) -> None:

@@ -39,7 +39,7 @@ def test_additive_envy_suite_500_instances():
         spec = GeneratorSpec(n=n, family=FAMILY_ROTATION[k % 4], seed=k,
                              max_pieces=12)
         inst = generate(spec)
-        pieces, _, report = solve(inst, SolverConfig(delta=delta, trace_level="off"))
+        pieces, _, report = solve(inst, SolverConfig(delta=delta))
         assert report.passed, (spec, report.failures())
         # structural facts re-established independently of the report
         assert check_pieces(pieces) is None
@@ -58,8 +58,7 @@ def test_headline_hundred_agents():
     """n = 100, delta = 1/20: envy at most 0.251 and ratio at least 0.499."""
     started = time.monotonic()
     inst = generate(GeneratorSpec(n=100, family="blocks", seed=7))
-    pieces, trace, report = solve(
-        inst, SolverConfig(delta=Fraction(1, 20), trace_level="off"))
+    pieces, trace, report = solve(inst, SolverConfig(delta=Fraction(1, 20)))
     assert report.passed, report.failures()
     assert report.max_envy <= Fraction(251, 1000), report.max_envy
     assert report.min_ratio is not None and report.min_ratio >= Fraction(499, 1000)
@@ -79,7 +78,7 @@ def test_multiplicative_suite_200_instances():
         n = 2 + k % 5
         spec = GeneratorSpec(n=n, family=FAMILY_ROTATION[k % 4], seed=1000 + k)
         inst = generate(spec)
-        pieces, _, report = solve_mult(inst, c, trace_level="off")
+        pieces, _, report = solve_mult(inst, c)
         assert report.passed, (spec, report.failures())
         vals = inst.agent_valuations()
         for i, v in enumerate(vals):

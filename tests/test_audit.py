@@ -19,6 +19,7 @@ from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
 from cakecut.audit import (check_iteration_bounds, check_trace_monotonicity,
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
+from cakecut.solver import Snapshot, Trace, TraceEvent
 from oracles import phase_invariants
 from strategies import partial_allocations
 
@@ -176,6 +177,15 @@ def test_trace_monotonicity_detects_a_drop():
     assert "agent 2" in check.witness
 
 
+def test_trace_monotonicity_reads_the_events_too():
+    # a drop between two iterations can vanish by the next phase boundary
+    hats = [(Fraction(1, 2),), (Fraction(1, 3),), (Fraction(2, 3),)]
+    trace = Trace(events=[TraceEvent(1, "assign", 0, interval(0, 1), h) for h in hats],
+                  snapshots=[Snapshot("phase1_end", [interval(0, 1)], [], [Fraction(2, 3)])])
+    check = check_trace_monotonicity(trace)
+    assert not check.passed and check.witness == "agent 1 fell 1/2 -> 1/3"
+
+
 def test_iteration_bounds_flag_overruns():
     class Fake:
         phase1_iterations = 50
@@ -183,7 +193,9 @@ def test_iteration_bounds_flag_overruns():
 
     checks = {c.name: c for c in check_iteration_bounds(Fake(), Fraction(40))}
     assert not checks["growth_iterations_within_budget"].passed
+    assert checks["growth_iterations_within_budget"].witness == "50 > 40"
     assert checks["appending_iterations_within_budget"].passed
+    assert checks["appending_iterations_within_budget"].witness is None
 
 
 def test_build_report_wires_counters_and_summaries():
@@ -212,7 +224,8 @@ def test_build_report_maps_each_parameter_to_its_checks(params, added):
 
 def test_build_report_derives_the_loop_budget_from_c():
     class Fake:
-        level = "off"
+        events = []
+        snapshots = []
         phase1_iterations = 81   # one agent, delta = c/8 = 1/80: budget 80
         phase2_iterations = 80
         cycle_rotations = 0

@@ -83,3 +83,9 @@ def test_an_oversize_grid_fails_the_report(monkeypatch):
     _, report = solve_bounded(Instance({"u": UNIFORM}, ["u"] * 4), Fraction(1, 2))
     failed = {c.name for c in report.failures()}
     assert {"grid_size_bound", "complete_cover"} <= failed
+
+
+def test_grid_rejects_a_malformed_valuation():
+    # half the mass is missing: without the check the grid would repeat 1
+    with pytest.raises(ValidationError):
+        cut_point_grid(Valuation(["0", "1"], ["1/2"]), Fraction(1, 4))

@@ -190,6 +190,14 @@ def test_solve_mult_records_both_parameters(tmp_path, capsys):
     assert "mult_ratio_bound" in names
 
 
+@pytest.mark.parametrize("command, param", [("solve", "--delta"), ("solve-mult", "--c")])
+def test_solvers_take_no_trace_level(tmp_path, capsys, command, param):
+    inst = gen_instance(tmp_path, capsys, n=2)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(inst), param, "1/10", "--trace-level", "full"])
+    assert exc.value.code == EXIT_INVALID
+
+
 def test_seeded_solves_are_byte_identical(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys, n=4, seed=21)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

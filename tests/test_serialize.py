@@ -26,7 +26,7 @@ class TestFractionStrings:
 
     @pytest.mark.parametrize("bad", [
         "0.4", "1e-3", ".5", "1/2/3", "1 / 2", " 1/2", "", "nan",
-        0.4, 1, None, ["1/2"],
+        0.4, 1, None, ["1/2"], "\u0663/\u0664", "\uff13",
     ])
     def test_rejects_everything_else(self, bad):
         with pytest.raises(ValidationError):
@@ -110,6 +110,7 @@ class TestAllocationFiles:
         [{"agent": 1, "lo": "3/4", "hi": "1/4"}],
         [{"agent": 1, "lo": "0", "hi": "9/8"}],
         [{"lo": "0", "hi": "1"}],
+        [{"agent": True, "lo": "0", "hi": "1"}],
     ])
     def test_rejects_bad_piece_rows(self, rows):
         with pytest.raises(ValidationError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import cakecut.solver
 from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
                      generate, interval, merge_final, phase_one, phase_two, solve, solve_mult)
-from cakecut.solver import GapPool, _Gap
+from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
 from oracles import worst_envy
 from reference_solver import appending_phase, growth_phase
 from strategies import instances
@@ -60,8 +60,11 @@ def test_config_validates_delta_and_trace_level():
         SolverConfig(delta=Fraction(0))
     with pytest.raises(ValidationError):
         SolverConfig(delta=Fraction(3, 2))
-    with pytest.raises(ValidationError):
-        SolverConfig(delta=DELTA, trace_level="loud")
+    for level in ["loud", "off"]:
+        with pytest.raises(ValidationError):
+            SolverConfig(delta=DELTA, trace_level=level)
+        with pytest.raises(ValidationError):
+            solve_mult(two_agent_instance(), DELTA, trace_level=level)
 
 
 def test_config_keeps_delta_exact():
@@ -76,12 +79,6 @@ def test_config_keeps_delta_exact():
 
 
 class TestTraceLevels:
-    def test_off_records_nothing(self):
-        _, trace, _ = solve(two_agent_instance(),
-                            SolverConfig(delta=DELTA, trace_level="off"))
-        assert trace.snapshots == [] and trace.events == []
-        assert trace.phase1_iterations > 0  # counters still maintained
-
     def test_phase_boundaries_records_snapshots_only(self):
         _, trace, _ = solve(two_agent_instance(), SolverConfig(delta=DELTA))
         assert [s.label for s in trace.snapshots] == ["phase1_end", "phase2_end", "final"]
@@ -95,6 +92,12 @@ class TestTraceLevels:
         assert len(assigns) == trace.phase1_iterations
         assert len(appends) == trace.phase2_iterations
         assert {e.kind for e in assigns} == {"assign"}
+
+    @pytest.mark.parametrize("level", TRACE_LEVELS)
+    def test_every_level_audits_hat_monotonicity(self, level):
+        _, _, report = solve(two_agent_instance(), SolverConfig(delta=DELTA, trace_level=level))
+        assert [c.name for c in report.checks][-1] == "hat_values_nondecreasing"
+        assert report.passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,9 +236,11 @@ def test_appending_loop_rejects_gaps_that_do_not_alternate(monkeypatch):
 
 
 def test_solver_has_no_assert_statements():
-    # python -O strips asserts, so every solver check must be a real one
-    tree = ast.parse(Path(cakecut.solver.__file__).read_text())
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    # python -O strips asserts, so every library check must be a real one
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(cakecut.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def solve_random_at_large_delta(n, seed):
