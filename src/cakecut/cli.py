@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,11 +53,18 @@ def _out_path(explicit, default_name: str) -> Path:
     return Path(os.environ.get(OUTDIR_ENV, ".")) / default_name
 
 
+def integer(text: str) -> int:
+    """An ASCII decimal integer, optionally negative: no spaces, "_" or other digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValidationError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_agent_range(text: str) -> list[int]:
     """"4" -> [4]; "2..8" -> [2, 3, ..., 8]."""
     lo, sep, hi = text.partition("..")
     try:
-        bounds = (int(lo), int(hi)) if sep else (int(lo), int(lo))
+        bounds = (integer(lo), integer(hi if sep else lo))
     except ValueError:
         raise ValidationError(f"bad agent range {text!r}; use N or LO..HI") from None
     if not (1 <= bounds[0] <= bounds[1]):
@@ -142,6 +150,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.count < 1:
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     agent_counts = _parse_agent_range(args.n)
     delta = parse_fraction(args.delta)
     rows = []
@@ -199,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--n", type=int, required=True, help="number of agents")
+    p.add_argument("--n", type=integer, required=True, help="number of agents")
     p.add_argument("--family", default="random",
                    choices=FAMILIES + ("disjoint-blocks",))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-pieces", type=int, default=8,
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--max-pieces", type=integer, default=8,
                    help="max constant-density segments per valuation")
-    p.add_argument("--distinct", type=int, default=2,
+    p.add_argument("--distinct", type=integer, default=2,
                    help="valuation groups for the grouped family")
-    p.add_argument("--grid", type=int, default=48,
+    p.add_argument("--grid", type=integer, default=48,
                    help="breakpoint lattice denominator")
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_gen)
@@ -237,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_audit)
 
     p = sub.add_parser("bench", help="batch solves over consecutive seeds")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=integer, default=100)
     p.add_argument("--n", default="2..8", help='agents per run: "4" or "2..8" (round-robin)')
     p.add_argument("--delta", default="1/10")
     p.add_argument("--family", default="random",
                    choices=FAMILIES + ("disjoint-blocks",))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-pieces", type=int, default=8)
-    p.add_argument("--oracle-resolution", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--max-pieces", type=integer, default=8)
+    p.add_argument("--oracle-resolution", type=integer, default=0,
                    help="if > 0, compare n <= 3 runs against the brute-force optimum")
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_bench)

@@ -138,7 +138,9 @@ class GapPool:
     seeded only from valuations whose support box meets it.  Boxes are the
     support endpoints scaled by the lcm of their denominators, so the test
     is on integers and exact: a support that only touches a gap at an
-    endpoint is never seeded.
+    endpoint is never seeded.  The ids that still have members are kept in
+    ``starts``, sorted by ``(support_lo, id)``, so a reseed reads the ids whose
+    support starts inside the gap as one slice.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -156,23 +158,34 @@ class GapPool:
         supports = {vid: (self.valuations[vid].support_lo, self.valuations[vid].support_hi)
                     for vid in self.members}
         self.scale = lcm(*(x.denominator for box in supports.values() for x in box))
-        self.boxes = {vid: (int(lo * self.scale), int(hi * self.scale))
-                      for vid, (lo, hi) in supports.items()}
+        self.box_hi = {vid: int(hi * self.scale) for vid, (_, hi) in supports.items()}
+        # (support_lo, id) of every id with members -- exactly the order entry
+        # of a gap its support starts inside -- and the integer box_lo keys.
+        self.starts = sorted((lo, vid) for vid, (lo, _) in supports.items())
+        self.start_keys = [int(lo * self.scale) for lo, _ in self.starts]
         self.gaps: list[_Gap] = [self._seed(_Gap(ZERO, ONE))]
 
     def _seed(self, g: _Gap) -> _Gap:
-        """Rebuild g's candidates from every valuation with mass inside it."""
-        g.groups, g.order, g.hat = {}, [], {}
-        lo = g.lo.numerator * self.scale // g.lo.denominator       # floor(lo * scale)
-        hi = -(-g.hi.numerator * self.scale // g.hi.denominator)   # ceil(hi * scale)
-        for vid, agents in self.members.items():
-            box_lo, box_hi = self.boxes[vid]
-            if agents and box_lo < hi and box_hi > lo:
+        """Rebuild g's candidates from every valuation with mass inside it.
+
+        When ``g.lo <= support_lo < g.hi`` the mass start is ``support_lo``
+        itself, so those ids arrive from ``starts`` as one slice already in
+        ``(start, id)`` order, with no peek.  Only the ids whose support
+        straddles ``g.lo`` are peeked with ``next_mass`` and inserted.
+        """
+        lo = g.lo.numerator * self.scale // g.lo.denominator          # floor(lo * scale)
+        first = -(-g.lo.numerator * self.scale // g.lo.denominator)   # ceil(lo * scale)
+        hi = -(-g.hi.numerator * self.scale // g.hi.denominator)      # ceil(hi * scale)
+        k = bisect_left(self.start_keys, first)
+        order = self.starts[k:bisect_left(self.start_keys, hi, k)]
+        for _, vid in self.starts[:k]:
+            if self.box_hi[vid] > lo:
+                # Mass lies right of g.lo inside the box, so start is not None.
                 start = self.valuations[vid].next_mass(g.lo)
-                if start is not None and start < g.hi:
-                    g.groups[vid] = list(agents)
-                    g.order.append((start, vid))
-        g.order.sort()
+                if start < g.hi:
+                    insort(order, (start, vid))
+        g.order, g.hat = order, {}
+        g.groups = {vid: list(self.members[vid]) for _, vid in order}
         return g
 
     def _carve(self, g: _Gap, r: Fraction) -> None:
@@ -259,8 +272,7 @@ class GapPool:
         prefix to that agent, whose previous piece returns to the pool.
         """
         for k, g in enumerate(self.gaps):
-            claim = self._best_claim(g)
-            if claim is not None:
+            if g.order and (claim := self._best_claim(g)) is not None:
                 break
         else:
             return None  # exact exit condition: no (gap, agent) pair qualifies
@@ -274,7 +286,11 @@ class GapPool:
         self.pieces[a] = piece
         self.hat_own[a] = hat
         if hat >= 1:
-            self.members[self.vids[a]].remove(a)
+            vid = self.vids[a]
+            self.members[vid].remove(a)
+            if not self.members[vid]:
+                j = self.starts.index((self.valuations[vid].support_lo, vid))
+                del self.starts[j], self.start_keys[j]
         if r < g.hi:
             self._carve(g, r)
         else:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cakecut import (Instance, Interval, QueryCounter, Valuation, cut_query,
                      eval_query, interval, validate)
 from oracles import naive_cut, naive_value
-from strategies import lattice_points, valuations
+from strategies import lattice_points, valuation_and_point, valuations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 LEFT_HALF = Valuation([Fraction(0), Fraction(1, 2), Fraction(1)],
@@ -62,6 +62,12 @@ class TestValuation:
             # mass starts immediately after y
             assert all(naive_value(v, y, y + step) > 0
                        for step in [Fraction(1, 10 ** 6)] if y + step <= 1)
+
+    @given(valuation_and_point())
+    def test_next_mass_left_of_the_support_is_its_start(self, case):
+        v, x = case
+        x *= v.support_lo  # every lattice point, scaled into [0, support_lo]
+        assert v.next_mass(x) == v.support_lo
 
     @given(valuations(), lattice_points(),
            st.fractions(min_value=0, max_value=Fraction(11, 10)))

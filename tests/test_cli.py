@@ -229,9 +229,38 @@ def test_bench_report_aggregates_runs(tmp_path, capsys):
 
 
 def test_bench_rejects_bad_range(capsys):
-    code, _, err = run(["bench", "--count", "1", "--n", "8..2"], capsys)
+    for n in ["8..2", "\u0662..\uff13", " 2..3", "2..3_0"]:
+        code, _, err = run(["bench", "--count", "1", "--n", n], capsys)
+        assert code == EXIT_INVALID, n
+        assert "range" in json.loads(err)["message"], n
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bench_rejects_a_count_below_one(tmp_path, capsys, count):
+    report = tmp_path / "bench.json"
+    code, _, err = run(["bench", "--count", count, "--n", "2", "-o", str(report)], capsys)
     assert code == EXIT_INVALID
-    assert "range" in json.loads(err)["message"]
+    assert "--count" in json.loads(err)["message"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "\u0663"],
+    ["gen", "--n", "2", "--seed", " 1_0"],
+    ["gen", "--n", "2", "--max-pieces", "\uff18"],
+    ["gen", "--n", "2", "--distinct", "2 "],
+    ["gen", "--n", "2", "--grid", "4_8"],
+    ["bench", "--count", "+1"],
+    ["bench", "--count", "1", "--seed", "1_0"],
+    ["bench", "--count", "1", "--max-pieces", " 8"],
+    ["bench", "--count", "1", "--oracle-resolution", "\u0661\u0662"],
+], ids=lambda args: args[0] + args[-2])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["-o", str(tmp_path / "out.json")])
+    assert exc.value.code == EXIT_INVALID
+    assert "invalid integer value" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cakecut.solver
 from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
@@ -13,7 +14,7 @@ from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationErr
 from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
 from oracles import worst_envy
 from reference_solver import appending_phase, growth_phase
-from strategies import instances
+from strategies import instances, lattice_points
 
 DELTA = Fraction(1, 10)
 
@@ -323,10 +324,50 @@ class TestGapPool:
         for lo, hi in [("0", "1/3"), ("2/3", "1")]:
             gap = pool._seed(_Gap(Fraction(lo), Fraction(hi)))
             assert list(gap.groups) == ["u"]
-        assert len(peeks) == 2  # one for "u" per gap, none for "mid"
+        # "u" starts at the left end of [0, 1/3] and is read off its support
+        # without a peek; in [2/3, 1] it straddles the left end.  None for "mid".
+        assert peeks == [Fraction(2, 3)]
         # a gap reaching past the support edge by less than 1/scale meets it
         gap = pool._seed(_Gap(Fraction(0), Fraction(17, 50)))
         assert gap.order == [(Fraction(0), "u"), (Fraction(1, 3), "mid")]
+
+    @staticmethod
+    def literal_seed(pool: GapPool, lo: Fraction, hi: Fraction) -> tuple[dict, list]:
+        """(groups, order) of [lo, hi] from a next_mass peek for every id with members."""
+        groups, order = {}, []
+        for vid, agents in pool.members.items():
+            start = pool.valuations[vid].next_mass(lo) if agents else None
+            if start is not None and start < hi:
+                groups[vid] = list(agents)
+                order.append((start, vid))
+        return groups, sorted(order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.lists(st.tuples(lattice_points(), lattice_points()), max_size=4),
+           st.sampled_from([Fraction(1, 2), Fraction(1, 10)]))
+    def test_seed_matches_a_literal_seed_as_ids_fill_up(self, instance, ends, delta):
+        pool = GapPool(instance, delta / instance.n)
+        lattice = [(min(a, b), max(a, b)) for a, b in ends if a != b] + [(Fraction(0), Fraction(1))]
+        while True:
+            # fresh seeds of the live gaps and of lattice gaps, after every award
+            for lo, hi in lattice + [(g.lo, g.hi) for g in pool.gaps]:
+                gap = pool._seed(_Gap(lo, hi))
+                assert (gap.groups, gap.order) == self.literal_seed(pool, lo, hi)
+            starts = sorted((pool.valuations[vid].support_lo, vid)
+                            for vid, agents in pool.members.items() if agents)
+            assert pool.starts == starts
+            if pool.award() is None:
+                break
+
+    def test_an_id_leaves_the_index_when_its_last_agent_fills(self):
+        valuations = {"u": self.UNIFORM, "right": Valuation(["0", "1/2", "1"], ["0", "2"])}
+        pool = GapPool(Instance(valuations, ["u", "right"]), Fraction(1, 2))
+        assert [vid for _, vid in pool.starts] == ["u", "right"]
+        # [0, 1/2] is bifurcating for "u": one award fills its only agent
+        assert pool.award() == 0 and pool.hat_own[0] == 1
+        assert [vid for _, vid in pool.starts] == ["right"]
+        gap = pool._seed(_Gap(Fraction(0), Fraction(1)))
+        assert (gap.groups, gap.order) == ({"right": [1]}, [(Fraction(1, 2), "right")])
 
 
 class TestMergeFinal:
