@@ -31,10 +31,10 @@ def check_pieces(pieces: Pieces) -> Optional[str]:
     )
     for p, i in placed:
         if not (ZERO <= p.lo <= p.hi <= ONE):
-            return f"piece of agent {i} is not a sub-interval of [0,1]: {p}"
+            return f"piece of agent {i + 1} is not a sub-interval of [0,1]: {p}"
     for (p, i), (q, j) in zip(placed, placed[1:]):
         if p.hi > q.lo:
-            return f"pieces of agents {i} and {j} overlap: {p} and {q}"
+            return f"pieces of agents {i + 1} and {j + 1} overlap: {p} and {q}"
     return None
 
 

@@ -40,7 +40,8 @@ class AuditReport:
 
     ``values[i][j]`` is agent i's exact value for agent j's piece;
     ``min_ratio`` is None when no agent assigns positive value to another's
-    piece (the ratio is vacuously unbounded).
+    piece (the ratio is vacuously unbounded).  ``params`` holds the
+    parameters the checks were derived from, as validated ``Fraction``s.
     """
 
     values: list[list[Fraction]]
@@ -52,6 +53,7 @@ class AuditReport:
     phase1_iterations: int = 0
     phase2_iterations: int = 0
     cycle_rotations: int = 0
+    params: dict[str, Fraction] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -86,13 +88,16 @@ def _agent(i: int) -> str:
 
 
 def check_structure(pieces: Sequence[Piece]) -> list[Check]:
-    """The allocation is n connected pieces, pairwise disjoint, covering [0,1]."""
+    """The allocation is n connected pieces, pairwise disjoint, covering [0,1].
+
+    Pieces that overlap or leave [0,1] fail both checks, with one witness.
+    """
     msg = check_pieces(pieces)
-    gaps = unassigned_gaps(pieces) if msg is None else None
+    gaps = unassigned_gaps(pieces) if msg is None else []
     return [
         Check("pieces_disjoint", msg is None, msg),
         Check("complete_cover", msg is None and not gaps,
-              None if not gaps else f"uncovered: {', '.join(map(str, gaps))}"),
+              f"uncovered: {', '.join(map(str, gaps))}" if gaps else msg),
     ]
 
 
@@ -235,7 +240,8 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
     * ``epsilon`` -- envy_within_epsilon;
 
     then, given a trace, the n^2/delta loop budgets (when delta is known) and
-    hat-value monotonicity.  Raises :class:`ValidationError` for an unknown
+    hat-value monotonicity.  The report's ``params`` are ``params`` with each
+    value as a ``Fraction``.  Raises :class:`ValidationError` for an unknown
     key, a value outside (0,1), or ``delta`` other than ``c/8`` when both are
     given.
     """
@@ -267,6 +273,7 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
         values=values,
         max_envy=max_envy,
         min_ratio=min_ratio_of(values),
+        params=params,
         checks=all_checks,
     )
     if counter is not None:

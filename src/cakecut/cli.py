@@ -10,10 +10,11 @@ Subcommands::
     bench       batch runs over seeds with an aggregate report
 
 Exit codes: 0 all audits passed, 1 an audit check failed, 2 malformed
-input or parameters.  Failures emit a single JSON diagnostic line on
-stderr.  Fractions are written "p/q" on the command line and in files;
-floats are rejected.  Output paths default into $CAKECUT_OUTDIR (or the
-working directory).
+input, parameters or usage (a missing or unknown argument included).
+Every failure emits a single JSON diagnostic line on stderr and no usage
+text; ``--help`` prints usage and exits 0.  Fractions are written "p/q" on
+the command line and in files; floats are rejected.  Output paths default
+into $CAKECUT_OUTDIR (or the working directory).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_INVALID = 2
 OUTDIR_ENV = "CAKECUT_OUTDIR"
+FAMILY_CHOICES = FAMILIES + ("disjoint-blocks",)
 
 
 def _diagnose(kind: str, message: str, **extra) -> None:
@@ -72,11 +74,12 @@ def _parse_agent_range(text: str) -> list[int]:
     return list(range(bounds[0], bounds[1] + 1))
 
 
-def _report_exit(report, out: Path) -> int:
+def _report_exit(report, out) -> int:
     if report.passed:
         return EXIT_OK
-    _diagnose("audit", f"{len(report.failures())} check(s) failed; see {out}",
-              failed=[c.name for c in report.failures()])
+    failed = [c.name for c in report.failures()]
+    see = f"; see {out}" if out else ""
+    _diagnose("audit", f"{len(failed)} check(s) failed{see}", failed=failed)
     return EXIT_AUDIT
 
 
@@ -91,40 +94,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _summarize(kind: str, out: Path, report) -> None:
-    print(f"{kind}: wrote {out}  max_envy={report.max_envy} "
-          f"(~{float(report.max_envy):.4f})  evals={report.eval_count} "
-          f"cuts={report.cut_count}  checks={sum(c.passed for c in report.checks)}"
-          f"/{len(report.checks)}")
+# command -> (parameter, help, parameter help, solver(instance, parameter)).
+# The solvers return the pieces first and the audit report last.
+SOLVERS = {
+    "solve": ("delta", "connected allocation, additive guarantee", 'slack parameter, e.g. "1/10"',
+              lambda instance, delta: solve(instance, SolverConfig(delta=delta))),
+    "solve-mult": ("c", "multiplicative mode (delta = c/8)", 'ratio slack, e.g. "1/10"',
+                   solve_mult),
+    "bounded": ("epsilon", "grid allocation for few distinct valuations",
+                'envy bound, e.g. "1/4"', solve_bounded),
+}
 
 
 def _cmd_solve(args) -> int:
+    param, _, _, solver = SOLVERS[args.command]
     instance = instance_from_obj(read_json(args.instance))
-    delta = parse_fraction(args.delta)
-    pieces, _, report = solve(instance, SolverConfig(delta=delta))
+    result = solver(instance, parse_fraction(getattr(args, param)))
+    pieces, report = result[0], result[-1]
     out = _out_path(args.output, "allocation.json")
-    write_json(out, allocation_to_obj(pieces, {"delta": delta}, report))
-    _summarize("solve", out, report)
-    return _report_exit(report, out)
-
-
-def _cmd_solve_mult(args) -> int:
-    instance = instance_from_obj(read_json(args.instance))
-    c = parse_fraction(args.c)
-    pieces, _, report = solve_mult(instance, c)
-    out = _out_path(args.output, "allocation.json")
-    write_json(out, allocation_to_obj(pieces, {"c": c, "delta": c / 8}, report))
-    _summarize("solve-mult", out, report)
-    return _report_exit(report, out)
-
-
-def _cmd_bounded(args) -> int:
-    instance = instance_from_obj(read_json(args.instance))
-    epsilon = parse_fraction(args.epsilon)
-    pieces, report = solve_bounded(instance, epsilon)
-    out = _out_path(args.output, "allocation.json")
-    write_json(out, allocation_to_obj(pieces, {"epsilon": epsilon}, report))
-    _summarize("bounded", out, report)
+    # The file records the parameters its embedded audit checked.
+    write_json(out, allocation_to_obj(pieces, report.params, report))
+    print(f"{args.command}: wrote {out}  max_envy={report.max_envy} "
+          f"(~{float(report.max_envy):.4f})  evals={report.eval_count} "
+          f"cuts={report.cut_count}  checks={sum(c.passed for c in report.checks)}"
+          f"/{len(report.checks)}")
     return _report_exit(report, out)
 
 
@@ -142,16 +135,14 @@ def _cmd_audit(args) -> int:
         print(f"{mark} {check.name}{suffix}")
     if args.output:
         write_json(Path(args.output), report_to_obj(report))
-    if not report.passed:
-        _diagnose("audit", f"{len(report.failures())} check(s) failed",
-                  failed=[c.name for c in report.failures()])
-        return EXIT_AUDIT
-    return EXIT_OK
+    return _report_exit(report, args.output)
 
 
 def _cmd_bench(args) -> int:
     if args.count < 1:
         raise ValidationError(f"--count must be >= 1, got {args.count}")
+    if args.oracle_resolution < 0:
+        raise ValidationError(f"--oracle-resolution must be >= 0, got {args.oracle_resolution}")
     agent_counts = _parse_agent_range(args.n)
     delta = parse_fraction(args.delta)
     rows = []
@@ -203,15 +194,21 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError, so they exit like any other."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cakecut", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="cakecut", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--n", type=integer, required=True, help="number of agents")
-    p.add_argument("--family", default="random",
-                   choices=FAMILIES + ("disjoint-blocks",))
+    p.add_argument("--family", default="random", choices=FAMILY_CHOICES)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--max-pieces", type=integer, default=8,
                    help="max constant-density segments per valuation")
@@ -222,23 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("solve", help="connected allocation, additive guarantee")
-    p.add_argument("instance")
-    p.add_argument("--delta", required=True, help='slack parameter, e.g. "1/10"')
-    p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_solve)
-
-    p = sub.add_parser("solve-mult", help="multiplicative mode (delta = c/8)")
-    p.add_argument("instance")
-    p.add_argument("--c", required=True, help='ratio slack, e.g. "1/10"')
-    p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_solve_mult)
-
-    p = sub.add_parser("bounded", help="grid allocation for few distinct valuations")
-    p.add_argument("instance")
-    p.add_argument("--epsilon", required=True, help='envy bound, e.g. "1/4"')
-    p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_bounded)
+    for command, (param, help_text, param_help, _) in SOLVERS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("instance")
+        p.add_argument(f"--{param}", required=True, help=param_help)
+        p.add_argument("-o", "--output")
+        p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("audit", help="re-verify an allocation file")
     p.add_argument("instance")
@@ -250,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=integer, default=100)
     p.add_argument("--n", default="2..8", help='agents per run: "4" or "2..8" (round-robin)')
     p.add_argument("--delta", default="1/10")
-    p.add_argument("--family", default="random",
-                   choices=FAMILIES + ("disjoint-blocks",))
+    p.add_argument("--family", default="random", choices=FAMILY_CHOICES)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--max-pieces", type=integer, default=8)
     p.add_argument("--oracle-resolution", type=integer, default=0,
@@ -263,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except ValidationError as exc:
         _diagnose("validation", str(exc))

@@ -204,21 +204,19 @@ class GapPool:
                 insort(g.order, (start, vid))
 
     def _release(self, lo: Fraction, hi: Fraction) -> None:
-        """Return [lo, hi] to the pool, merging endpoint-adjacent gaps."""
+        """Return [lo, hi] to the pool as one gap with its endpoint-adjacent neighbours.
+
+        The merged gap is seeded afresh: a wider gap can interest groups
+        dropped earlier.
+        """
         gaps = self.gaps
         k = bisect_left(gaps, lo, key=lambda g: g.lo)
-        left = gaps[k - 1] if k > 0 and gaps[k - 1].hi == lo else None
-        right = gaps[k] if k < len(gaps) and gaps[k].lo == hi else None
-        if left is not None:
-            left.hi = right.hi if right is not None else hi
-            if right is not None:
-                gaps.pop(k)
-            self._seed(left)  # a wider gap can interest groups dropped earlier
-        elif right is not None:
-            right.lo = lo
-            self._seed(right)
-        else:
-            gaps.insert(k, self._seed(_Gap(lo, hi)))
+        if k < len(gaps) and gaps[k].lo == hi:
+            hi = gaps.pop(k).hi
+        if k > 0 and gaps[k - 1].hi == lo:
+            k -= 1
+            lo = gaps.pop(k).lo
+        gaps.insert(k, self._seed(_Gap(lo, hi)))
 
     def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int]]:
         """Shortest qualifying prefix of ``g`` as (endpoint, agent), if any.
@@ -310,17 +308,18 @@ def phase_one(instance: Instance, config: SolverConfig,
     also stops after floor(n^2/delta) + 1 awards, one more than the proved
     bound allows, so a run that overruns fails the report's
     ``growth_iterations_within_budget`` check instead of looping on.
+    Without a ``trace`` it records into a fresh one.
     """
+    if trace is None:
+        trace = Trace()
     pool = GapPool(instance, config.delta / instance.n, counter)
     budget = loop_budget(instance.n, config.delta)
     iterations = 0
     while iterations <= budget and (a := pool.award()) is not None:
         iterations += 1
-        if trace is not None:
-            trace.event(1, "assign", a, pool.pieces[a], pool.hat_own)
-    if trace is not None:
-        trace.phase1_iterations = iterations
-        trace.snap("phase1_end", pool.pieces, [g.interval() for g in pool.gaps], pool.hat_own)
+        trace.event(1, "assign", a, pool.pieces[a], pool.hat_own)
+    trace.phase1_iterations = iterations
+    trace.snap("phase1_end", pool.pieces, [g.interval() for g in pool.gaps], pool.hat_own)
     log.debug("growth phase done: %s iterations, %s gaps", iterations, len(pool.gaps))
     return pool.pieces
 
@@ -333,14 +332,15 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     Like the growth loop, it stops after floor(n^2/delta) + 1 iterations, so
     a run that overruns leaves more than n gaps and fails the report's
     ``appending_iterations_within_budget`` and ``complete_cover`` checks.
+    Without a ``trace`` it records into a fresh one.
     """
+    if trace is None:
+        trace = Trace()
     valuations = instance.agent_valuations()
     n = instance.n
     gaps = unassigned_gaps(pieces)
     if len(gaps) <= n:
-        if trace is not None:
-            trace.snap("phase2_end", pieces, gaps,
-                       [hat_eval(v, p) for v, p in zip(valuations, pieces)])
+        trace.snap("phase2_end", pieces, gaps, [hat_eval(v, p) for v, p in zip(valuations, pieces)])
         return list(pieces)
 
     graph = EnvyGraph(pieces, valuations, counter)
@@ -353,10 +353,9 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
         if len(gaps) != n + 1 or None in graph.pieces:
             raise RuntimeError(f"{len(gaps)} gaps do not alternate with the pieces of {n} agents")
         cycles = graph.resolve()
-        if trace is not None:
-            trace.cycle_rotations += len(cycles)
-            for cyc in cycles:
-                trace.event(2, "rotate", cyc[0], graph.pieces[cyc[0]], graph.hats())
+        trace.cycle_rotations += len(cycles)
+        for cyc in cycles:
+            trace.event(2, "rotate", cyc[0], graph.pieces[cyc[0]], graph.hats())
 
         s = graph.source()
         r_s = graph.pieces[s].hi
@@ -372,11 +371,9 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
             kind = "crumb"
         graph.grow(s, Interval(graph.pieces[s].lo, x))
         iterations += 1
-        if trace is not None:
-            trace.event(2, kind, s, graph.pieces[s], graph.hats())
-    if trace is not None:
-        trace.phase2_iterations = iterations
-        trace.snap("phase2_end", graph.pieces, gaps, graph.hats())
+        trace.event(2, kind, s, graph.pieces[s], graph.hats())
+    trace.phase2_iterations = iterations
+    trace.snap("phase2_end", graph.pieces, gaps, graph.hats())
     log.debug("appending phase done: %s iterations", iterations)
     return graph.pieces
 

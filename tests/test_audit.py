@@ -56,9 +56,12 @@ def test_theorem_bounds_flag_lopsided_allocations():
 
 def test_structure_checks_flag_overlap_and_gaps():
     overlap = [interval(0, "2/3"), interval("1/3", 1)]
-    names = {c.name: c.passed for c in
-             check_theorem_bounds(overlap, values_matrix(overlap, TWO_UNIFORM), DELTA)}
-    assert not names["pieces_disjoint"]
+    checks = {c.name: c for c in build_report(overlap, TWO_UNIFORM).checks}
+    witness = "pieces of agents 1 and 2 overlap: [0, 2/3] and [1/3, 1]"
+    assert not checks["pieces_disjoint"].passed
+    assert checks["pieces_disjoint"].witness == witness
+    assert not checks["complete_cover"].passed
+    assert checks["complete_cover"].witness == witness
     gappy = [interval(0, "1/4"), interval("3/4", 1)]
     names = {c.name: c.passed for c in
              check_theorem_bounds(gappy, values_matrix(gappy, TWO_UNIFORM), DELTA)}
@@ -232,6 +235,13 @@ def test_build_report_derives_the_loop_budget_from_c():
 
     report = build_report([interval(0, 1)], [UNIFORM], params={"c": DELTA}, trace=Fake())
     assert [c.name for c in report.failures()] == ["growth_iterations_within_budget"]
+
+
+def test_build_report_keeps_its_parameters_as_fractions():
+    report = build_report([interval(0, 1)], [UNIFORM], params={"delta": "2/20", "epsilon": "1/2"})
+    assert report.params == {"delta": Fraction(1, 10), "epsilon": Fraction(1, 2)}
+    assert all(type(x) is Fraction for x in report.params.values())
+    assert build_report([interval(0, 1)], [UNIFORM]).params == {}
 
 
 @pytest.mark.parametrize("params", [

@@ -3,16 +3,31 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from cakecut import SolverConfig, solve, solve_bounded, solve_mult
 from cakecut.cli import EXIT_AUDIT, EXIT_INVALID, EXIT_OK, main
+from cakecut.serialize import (allocation_from_obj, allocation_to_obj, dumps_canonical,
+                               instance_from_obj)
 
 
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(args, capsys, out_file) -> str:
+    """Run a failing command line; check it fails with one JSON line and no output; return its message."""
+    code, out, err = run(args, capsys)
+    assert code == EXIT_INVALID and out == ""
+    [line] = err.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "validation"
+    assert not out_file.exists()
+    return diagnostic["message"]
 
 
 def gen_instance(tmp_path, capsys, n=3, family="random", seed=5):
@@ -193,9 +208,60 @@ def test_solve_mult_records_both_parameters(tmp_path, capsys):
 @pytest.mark.parametrize("command, param", [("solve", "--delta"), ("solve-mult", "--c")])
 def test_solvers_take_no_trace_level(tmp_path, capsys, command, param):
     inst = gen_instance(tmp_path, capsys, n=2)
+    out = tmp_path / "out.json"
+    message = usage_error([command, str(inst), param, "1/10", "--trace-level", "full",
+                           "-o", str(out)], capsys, out)
+    assert "unrecognized arguments: --trace-level full" in message
+
+
+@pytest.mark.parametrize("args, phrase", [
+    ([], "required: command"),
+    (["nope"], "invalid choice"),
+    (["solve", "inst.json"], "required: --delta"),
+    (["solve-mult", "inst.json"], "required: --c"),
+    (["bounded", "inst.json"], "required: --epsilon"),
+    (["audit", "inst.json"], "required: allocation"),
+    (["gen", "--n", "2", "--family", "nope"], "invalid choice: 'nope'"),
+    (["bench", "--count", "1", "--family", "nope"], "invalid choice: 'nope'"),
+    (["gen", "--n", "2", "--seeds", "1"], "unrecognized arguments: --seeds 1"),
+])
+def test_usage_errors_exit_2_with_one_json_line(tmp_path, capsys, args, phrase):
+    out = tmp_path / "out.json"
+    if args:
+        args = args + ["-o", str(out)]
+    assert phrase in usage_error(args, capsys, out)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["bench", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, args):
     with pytest.raises(SystemExit) as exc:
-        main([command, str(inst), param, "1/10", "--trace-level", "full"])
-    assert exc.value.code == EXIT_INVALID
+        main(args)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: cakecut")
+
+
+TENTH, HALF = Fraction(1, 10), Fraction(1, 2)
+
+
+@pytest.mark.parametrize("command, option, solver, params", [
+    ("solve", ["--delta", "1/10"], lambda inst: solve(inst, SolverConfig(delta=TENTH)),
+     {"delta": TENTH}),
+    ("solve-mult", ["--c", "1/10"], lambda inst: solve_mult(inst, TENTH),
+     {"c": TENTH, "delta": TENTH / 8}),
+    ("bounded", ["--epsilon", "1/2"], lambda inst: solve_bounded(inst, HALF), {"epsilon": HALF}),
+], ids=["solve", "solve-mult", "bounded"])
+def test_a_solver_file_carries_the_parameters_its_audit_checked(tmp_path, capsys, command,
+                                                               option, solver, params):
+    inst = tmp_path / "grouped.json"
+    run(["gen", "--n", "6", "--family", "grouped", "--seed", "3", "-o", str(inst)], capsys)
+    alloc = tmp_path / "alloc.json"
+    code, _, _ = run([command, str(inst), *option, "-o", str(alloc)], capsys)
+    assert code == EXIT_OK
+    result = solver(instance_from_obj(json.loads(inst.read_text())))
+    pieces, report = result[0], result[-1]
+    assert report.params == params
+    assert allocation_from_obj(json.loads(alloc.read_text()))[1] == report.params
+    assert alloc.read_text() == dumps_canonical(allocation_to_obj(pieces, report.params, report))
 
 
 def test_seeded_solves_are_byte_identical(tmp_path, capsys):
@@ -244,6 +310,23 @@ def test_bench_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_bench_rejects_a_negative_oracle_resolution(tmp_path, capsys, n):
+    # n = 3 used to fail only after its first solve, n = 4 not at all
+    report = tmp_path / "bench.json"
+    message = usage_error(["bench", "--count", "1", "--n", n, "--oracle-resolution", "-5",
+                           "-o", str(report)], capsys, report)
+    assert "--oracle-resolution" in message
+
+
+def test_bench_oracle_resolution_zero_is_off(tmp_path, capsys):
+    report = tmp_path / "bench.json"
+    code, _, _ = run(["bench", "--count", "1", "--n", "2", "--oracle-resolution", "0",
+                      "-o", str(report)], capsys)
+    assert code == EXIT_OK
+    assert "oracle_min_envy" not in json.loads(report.read_text())["runs"][0]
+
+
 @pytest.mark.parametrize("args", [
     ["gen", "--n", "\u0663"],
     ["gen", "--n", "2", "--seed", " 1_0"],
@@ -256,11 +339,9 @@ def test_bench_rejects_a_count_below_one(tmp_path, capsys, count):
     ["bench", "--count", "1", "--oracle-resolution", "\u0661\u0662"],
 ], ids=lambda args: args[0] + args[-2])
 def test_integer_options_take_ascii_digits_only(tmp_path, capsys, args):
-    with pytest.raises(SystemExit) as exc:
-        main(args + ["-o", str(tmp_path / "out.json")])
-    assert exc.value.code == EXIT_INVALID
-    assert "invalid integer value" in capsys.readouterr().err
-    assert not (tmp_path / "out.json").exists()
+    out = tmp_path / "out.json"
+    message = usage_error(args + ["-o", str(out)], capsys, out)
+    assert f"argument {args[-2]}: invalid integer value" in message
 
 
 def test_module_entry_point(tmp_path):
