@@ -101,17 +101,16 @@ def check_structure(pieces: Sequence[Piece]) -> list[Check]:
     ]
 
 
-def check_theorem_bounds(pieces: Sequence[Piece], values: Sequence[Sequence[Fraction]],
-                         delta: Fraction) -> list[Check]:
-    """Structure plus the connected solver's endpoint guarantees, on the value matrix."""
+def check_theorem_bounds(values: Sequence[Sequence[Fraction]], delta: Fraction) -> list[Check]:
+    """The connected solver's additive-envy and half-value bounds, on the value matrix."""
     n = len(values)
     bound = QUARTER + 2 * delta / n
     envy = next((f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}"
                  for i, j, own, other in _pairs(values) if other - own > bound), None)
     half = next((f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}"
                  for i, j, own, other in _pairs(values) if own < other / 2 - delta / n), None)
-    return check_structure(pieces) + [Check("additive_envy_bound", envy is None, envy),
-                                      Check("half_value_bound", half is None, half)]
+    return [Check("additive_envy_bound", envy is None, envy),
+            Check("half_value_bound", half is None, half)]
 
 
 def check_mult_bounds(values: Sequence[Sequence[Fraction]], c: Fraction) -> list[Check]:
@@ -257,9 +256,9 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
 
     values = values_matrix(pieces, valuations)
     max_envy = max_envy_of(values)
-    all_checks = list(checks)
-    all_checks += (check_structure(pieces) if delta is None
-                   else check_theorem_bounds(pieces, values, delta))
+    all_checks = [*checks, *check_structure(pieces)]
+    if delta is not None:
+        all_checks += check_theorem_bounds(values, delta)
     if c is not None:
         all_checks += check_mult_bounds(values, c)
     if epsilon is not None:

@@ -31,9 +31,16 @@ class ValidationError(ValueError):
     """Malformed input: instance, allocation file, or parameter out of range."""
 
 
+def _exact(name: str, x) -> Fraction:
+    """``x`` as a Fraction; ValidationError for a float (0.1 is not 1/10 in binary)."""
+    if isinstance(x, float):
+        raise ValidationError(f"{name} must be exact, such as '1/10', not the float {x!r}")
+    return Fraction(x)
+
+
 def open_unit(name: str, x) -> Fraction:
     """The parameter ``x`` as a Fraction; ValidationError unless 0 < x < 1."""
-    x = Fraction(x)
+    x = _exact(name, x)
     if not (ZERO < x < ONE):
         raise ValidationError(f"{name} must lie in (0,1), got {x}")
     return x
@@ -58,14 +65,14 @@ Piece = Optional[Interval]
 
 
 def interval(lo, hi) -> Interval:
-    """Build an Interval from anything Fraction() accepts.
+    """Build an Interval from anything Fraction() accepts except a float.
 
     >>> interval(0, "1/2")
     Interval(lo=Fraction(0, 1), hi=Fraction(1, 2))
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _exact("lo", lo), _exact("hi", hi)
     if not (ZERO <= lo <= hi <= ONE):
-        raise ValueError(f"not a sub-interval of [0,1]: [{lo}, {hi}]")
+        raise ValidationError(f"not a sub-interval of [0,1]: [{lo}, {hi}]")
     return Interval(lo, hi)
 
 
@@ -82,16 +89,16 @@ class Valuation:
 
     ``breakpoints`` is a strictly increasing sequence of Fractions running
     from 0 to 1; ``densities`` holds one nonnegative Fraction per consecutive
-    breakpoint pair.  Instances are immutable after construction and safe to
-    share; use :func:`validate` to obtain a violation message instead of
-    trusting unchecked input.
+    breakpoint pair; a float for either raises ValidationError.  Instances are
+    immutable after construction and safe to share; use :func:`validate` to
+    obtain a violation message instead of trusting unchecked input.
     """
 
     __slots__ = ("breakpoints", "densities", "_cum", "support_lo", "support_hi")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence):
-        self.breakpoints = tuple(Fraction(b) for b in breakpoints)
-        self.densities = tuple(Fraction(d) for d in densities)
+        self.breakpoints = tuple(_exact("breakpoint", b) for b in breakpoints)
+        self.densities = tuple(_exact("density", d) for d in densities)
         # Cumulative mass at each breakpoint (meaningful once validated).
         cum = [ZERO]
         for (a, b), d in zip(zip(self.breakpoints, self.breakpoints[1:]), self.densities):

@@ -109,22 +109,18 @@ class Trace:
 
 
 class _Gap:
-    """One unassigned interval and the pool's candidate bookkeeping for it.
+    """One unassigned interval and the ids that may still claim a prefix of it.
 
-    ``groups`` maps a valuation id to the ascending agents that might still
-    claim this gap (full ones are pruned lazily); ``order`` holds ``(mass
-    start, id)`` per group, sorted so a scan can stop once no later group
-    could name a shorter prefix; ``hat`` caches each group's hat value for
-    the whole gap and is flushed whenever the gap's endpoints move.
+    ``order`` holds ``(mass start, id)`` for each such id, sorted so a scan
+    can stop once no later id could name a shorter prefix.  An id's
+    candidates are not kept here: they are its agents in ``GapPool.members``.
     """
 
-    __slots__ = ("lo", "hi", "groups", "order", "hat")
+    __slots__ = ("lo", "hi", "order")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         self.lo, self.hi = lo, hi
-        self.groups: dict[str, list[int]] = {}
         self.order: list[tuple[Fraction, str]] = []
-        self.hat: dict[str, Fraction] = {}
 
     def interval(self) -> Interval:
         return Interval(self.lo, self.hi)
@@ -133,8 +129,8 @@ class _Gap:
 class GapPool:
     """State of the growth phase: pieces, hat values and the sorted gaps.
 
-    Agents sharing a valuation name the same prefixes, so each gap keeps its
-    candidates grouped by valuation id and queries once per group.  A gap is
+    Agents sharing a valuation name the same prefixes, so each gap lists its
+    candidates by valuation id and queries once per id.  A gap is
     seeded only from valuations whose support box meets it.  Boxes are the
     support endpoints scaled by the lcm of their denominators, so the test
     is on integers and exact: a support that only touches a gap at an
@@ -184,29 +180,25 @@ class GapPool:
                 start = self.valuations[vid].next_mass(g.lo)
                 if start < g.hi:
                     insort(order, (start, vid))
-        g.order, g.hat = order, {}
-        g.groups = {vid: list(self.members[vid]) for _, vid in order}
+        g.order = order
         return g
 
     def _carve(self, g: _Gap, r: Fraction) -> None:
         """Remove the awarded prefix [g.lo, r] from the gap (r < g.hi)."""
         g.lo = r
-        g.hat.clear()
         # Mass-start points left of the new edge must be recomputed; the rest
         # are untouched (mass that began at or beyond r still begins there).
         k = bisect_left(g.order, (r,))
         moved, g.order[:k] = g.order[:k], []
         for _, vid in moved:
             start = self.valuations[vid].next_mass(r)
-            if start is None or start >= g.hi:
-                del g.groups[vid]  # no mass left inside the gap
-            else:
+            if start is not None and start < g.hi:  # else no mass is left inside the gap
                 insort(g.order, (start, vid))
 
     def _release(self, lo: Fraction, hi: Fraction) -> None:
         """Return [lo, hi] to the pool as one gap with its endpoint-adjacent neighbours.
 
-        The merged gap is seeded afresh: a wider gap can interest groups
+        The merged gap is seeded afresh: a wider gap can interest ids
         dropped earlier.
         """
         gaps = self.gaps
@@ -221,12 +213,15 @@ class GapPool:
     def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int]]:
         """Shortest qualifying prefix of ``g`` as (endpoint, agent), if any.
 
-        Walks valuation groups in mass-start order: once some group names a
-        prefix endpoint, any group whose mass begins at or beyond it cannot
-        name a strictly shorter one, so it is skipped without queries.
-        Agents whose raised target exceeds their hat value for the whole gap
-        are dropped -- targets only rise, so they can never qualify again
-        unless the gap itself grows (which reseeds it).
+        Walks the ids in mass-start order: once some id names a prefix
+        endpoint, any id whose mass begins at or beyond it cannot name a
+        strictly shorter one, so it is skipped without queries.  An id's
+        candidates are its members (agents below hat value 1) whose raised
+        target is within their hat value for the whole gap; an id with none
+        leaves ``g.order``.  It cannot qualify again before the gap is
+        reseeded: in the growth phase hat values of pieces only rise, and
+        carving only lowers the gap's hat value (plain values shrink, and an
+        interval containing a bifurcating one is bifurcating itself).
         """
         hat_own, step = self.hat_own, self.step
         best: Optional[tuple[Fraction, int]] = None
@@ -234,19 +229,13 @@ class GapPool:
             if best is not None and start >= best[0]:
                 break  # mass starts too far right to beat the current prefix
             v = self.valuations[vid]
-            group = g.groups[vid]
-            reach = g.hat.get(vid)
-            if reach is None:
-                # Agents filled since seeding leave before the group is queried.
-                group[:] = [i for i in group if hat_own[i] < 1]
-                if group:
-                    reach = g.hat[vid] = hat_eval(v, g.interval(), self.counter)
-            live = [i for i in group if hat_own[i] + step <= reach]
+            members = self.members[vid]
+            # An id whose agents are all full asks nothing.
+            reach = hat_eval(v, g.interval(), self.counter) if members else None
+            live = [i for i in members if hat_own[i] + step <= reach]
             if not live:
-                del g.groups[vid]
                 g.order.remove((start, vid))
                 continue
-            group[:] = live
             rep = min(live, key=lambda i: (hat_own[i], i))
             r = hat_cut(v, g.lo, hat_own[rep] + step, self.counter)
             if r is None or r > g.hi:
@@ -255,8 +244,8 @@ class GapPool:
             if len(live) == 1:
                 winner = rep
             else:
-                # Everyone in the group whose target the prefix [lo, r] meets
-                # stops at r as well; the lowest index among them wins ties.
+                # Every candidate whose target the prefix [lo, r] meets stops
+                # at r as well; the lowest index among them wins ties.
                 at_r = hat_eval(v, Interval(g.lo, r), self.counter)
                 winner = min(i for i in live if hat_own[i] + step <= at_r)
             if best is None or (r, winner) < best:

@@ -16,7 +16,7 @@ from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
                      brute_force_min_envy, build_report, check_mult_bounds,
                      check_phase_invariants, check_theorem_bounds, interval,
                      solve, solve_bounded, solve_mult)
-from cakecut.audit import (check_iteration_bounds, check_trace_monotonicity,
+from cakecut.audit import (check_iteration_bounds, check_structure, check_trace_monotonicity,
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
 from cakecut.solver import Snapshot, Trace, TraceEvent
@@ -46,12 +46,12 @@ def test_min_ratio_none_when_nothing_to_compare():
 def test_theorem_bounds_flag_lopsided_allocations():
     # uniform agent 1 holds a sliver: envy 9/10 - 1/10 over the bound
     pieces = [interval(0, "1/10"), interval("1/10", 1)]
-    checks = {c.name: c for c in
-              check_theorem_bounds(pieces, values_matrix(pieces, TWO_UNIFORM), DELTA)}
+    checks = {c.name: c for c in check_theorem_bounds(values_matrix(pieces, TWO_UNIFORM), DELTA)}
+    assert list(checks) == ["additive_envy_bound", "half_value_bound"]
     assert not checks["additive_envy_bound"].passed
     assert "agent 1" in checks["additive_envy_bound"].witness
     assert not checks["half_value_bound"].passed
-    assert checks["pieces_disjoint"].passed and checks["complete_cover"].passed
+    assert all(c.passed for c in check_structure(pieces))
 
 
 def test_structure_checks_flag_overlap_and_gaps():
@@ -63,8 +63,7 @@ def test_structure_checks_flag_overlap_and_gaps():
     assert not checks["complete_cover"].passed
     assert checks["complete_cover"].witness == witness
     gappy = [interval(0, "1/4"), interval("3/4", 1)]
-    names = {c.name: c.passed for c in
-             check_theorem_bounds(gappy, values_matrix(gappy, TWO_UNIFORM), DELTA)}
+    names = {c.name: c.passed for c in check_structure(gappy)}
     assert not names["complete_cover"]
 
 
@@ -246,7 +245,7 @@ def test_build_report_keeps_its_parameters_as_fractions():
 
 @pytest.mark.parametrize("params", [
     {"delta": Fraction(1)}, {"epsilon": Fraction(0)}, {"c": DELTA, "delta": DELTA},
-    {"eps": DELTA},
+    {"eps": DELTA}, {"delta": 0.1}, {"epsilon": 0.5},
 ])
 def test_build_report_rejects_malformed_parameters(params):
     with pytest.raises(ValidationError):

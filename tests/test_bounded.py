@@ -20,7 +20,7 @@ def test_uniform_grid_is_even():
 
 
 def test_grid_rejects_bad_epsilon():
-    for eps in [Fraction(0), Fraction(1), Fraction(-1, 4)]:
+    for eps in [Fraction(0), Fraction(1), Fraction(-1, 4), 0.25]:
         with pytest.raises(ValidationError):
             cut_point_grid(UNIFORM, eps)
 
@@ -52,6 +52,9 @@ def test_identical_agents_split_at_grid_points():
     assert report.passed
     grid_check = next(c for c in report.checks if c.name == "grid_size_bound")
     assert grid_check.passed and grid_check.witness is None  # witnesses explain failures
+    for eps in [0.5, 0.9]:
+        with pytest.raises(ValidationError):
+            solve_bounded(inst, eps)
 
 
 @settings(max_examples=40, deadline=None)

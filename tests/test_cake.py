@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cakecut import (Instance, Interval, QueryCounter, Valuation, cut_query,
+from cakecut import (Instance, Interval, QueryCounter, ValidationError, Valuation, cut_query,
                      eval_query, interval, validate)
 from oracles import naive_cut, naive_value
 from strategies import lattice_points, valuation_and_point, valuations
@@ -18,10 +18,14 @@ LEFT_HALF = Valuation([Fraction(0), Fraction(1, 2), Fraction(1)],
 
 def test_interval_factory_orders_and_bounds():
     assert interval("1/4", "3/4") == Interval(Fraction(1, 4), Fraction(3, 4))
-    with pytest.raises(ValueError):
-        interval("3/4", "1/4")
-    with pytest.raises(ValueError):
-        interval(0, "9/8")
+    # out of range is a ValidationError, which is still a ValueError
+    for lo, hi in [("3/4", "1/4"), (0, "9/8")]:
+        with pytest.raises(ValidationError):
+            interval(lo, hi)
+    # a float is rounded to binary before Fraction() sees it: 0.3 is not 3/10
+    for lo, hi in [(0, 0.3), (0.5, 1)]:
+        with pytest.raises(ValidationError):
+            interval(lo, hi)
 
 
 def test_interval_width_and_str():
@@ -101,6 +105,10 @@ def test_validate_rejects_malformed_valuations():
     ]
     for v in bad:
         assert validate(v) is not None
+    # floats are refused before validation, even exactly representable ones
+    for bps, des in [([0, 0.5, 1], [2, 0]), ([0, 1], [1.0])]:
+        with pytest.raises(ValidationError):
+            Valuation(bps, des)
 
 
 class TestQueries:

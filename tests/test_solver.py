@@ -1,6 +1,7 @@
 """End-to-end solver behaviour: the two phases, the merge, and the audits."""
 
 import ast
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import cakecut.solver
 from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
                      generate, interval, merge_final, phase_one, phase_two, solve, solve_mult)
+from cakecut.serialize import allocation_to_obj, dumps_canonical
 from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
 from oracles import worst_envy
 from reference_solver import appending_phase, growth_phase
@@ -72,11 +74,13 @@ def test_config_keeps_delta_exact():
     # a float delta used as given would put float cut points on the decision
     # path, and two uniform agents would then fail bifurcating_margin
     uniform = Valuation(["0", "1"], ["1"])
-    for delta in ["1/10", 0.1]:
-        config = SolverConfig(delta=delta)
-        assert config.delta == Fraction(delta) and type(config.delta) is Fraction
-        _, _, report = solve(Instance({"u": uniform}, ["u", "u"]), config)
-        assert report.passed, report.failures()
+    config = SolverConfig(delta="1/10")
+    assert config.delta == Fraction(1, 10) and type(config.delta) is Fraction
+    _, _, report = solve(Instance({"u": uniform}, ["u", "u"]), config)
+    assert report.passed, report.failures()
+    # 0.1 would be 3602879701896397/36028797018963968, so it is refused
+    with pytest.raises(ValidationError):
+        SolverConfig(delta=0.1)
 
 
 class TestTraceLevels:
@@ -290,11 +294,11 @@ class TestGapPool:
         pool = self.pool({"u": self.UNIFORM}, [("0", "1/4"), ("1/2", "3/4")])
         pool.hat_own[0] = Fraction(1, 4)
         left = pool.gaps[0]
-        # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its group is dropped
-        assert pool._best_claim(left) is None and left.groups == {}
+        # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its id is dropped
+        assert pool._best_claim(left) is None and left.order == []
         pool._release(Fraction(1, 4), Fraction(1, 2))
         assert [g.interval() for g in pool.gaps] == [interval(0, "3/4")]
-        assert pool.gaps[0].groups == {"u": [0]}
+        assert pool.gaps[0].order == [(Fraction(0), "u")] and pool.members["u"] == [0]
         assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0)
 
     def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
@@ -308,11 +312,10 @@ class TestGapPool:
         gap = pool.gaps[0]
         peeks = self.count_peeks(monkeypatch)
         pool._carve(gap, Fraction(1, 2))
-        # only the groups whose mass started left of the cut are looked up again
+        # only the ids whose mass started left of the cut are looked up again
         assert peeks == [Fraction(1, 2)] * 2
         assert gap.order == [(Fraction(1, 2), "all"), (Fraction(1, 2), "at"),
                              (Fraction(3, 4), "after")]
-        assert set(gap.groups) == {"all", "at", "after"}
 
     def test_a_support_touching_a_gap_at_an_endpoint_is_never_seeded(self, monkeypatch):
         valuations = {
@@ -323,7 +326,7 @@ class TestGapPool:
         peeks = self.count_peeks(monkeypatch)
         for lo, hi in [("0", "1/3"), ("2/3", "1")]:
             gap = pool._seed(_Gap(Fraction(lo), Fraction(hi)))
-            assert list(gap.groups) == ["u"]
+            assert [vid for _, vid in gap.order] == ["u"]
         # "u" starts at the left end of [0, 1/3] and is read off its support
         # without a peek; in [2/3, 1] it straddles the left end.  None for "mid".
         assert peeks == [Fraction(2, 3)]
@@ -332,15 +335,14 @@ class TestGapPool:
         assert gap.order == [(Fraction(0), "u"), (Fraction(1, 3), "mid")]
 
     @staticmethod
-    def literal_seed(pool: GapPool, lo: Fraction, hi: Fraction) -> tuple[dict, list]:
-        """(groups, order) of [lo, hi] from a next_mass peek for every id with members."""
-        groups, order = {}, []
+    def literal_seed(pool: GapPool, lo: Fraction, hi: Fraction) -> list:
+        """The order of [lo, hi] from a next_mass peek for every id with members."""
+        order = []
         for vid, agents in pool.members.items():
             start = pool.valuations[vid].next_mass(lo) if agents else None
             if start is not None and start < hi:
-                groups[vid] = list(agents)
                 order.append((start, vid))
-        return groups, sorted(order)
+        return sorted(order)
 
     @settings(max_examples=60, deadline=None)
     @given(instances(), st.lists(st.tuples(lattice_points(), lattice_points()), max_size=4),
@@ -352,7 +354,7 @@ class TestGapPool:
             # fresh seeds of the live gaps and of lattice gaps, after every award
             for lo, hi in lattice + [(g.lo, g.hi) for g in pool.gaps]:
                 gap = pool._seed(_Gap(lo, hi))
-                assert (gap.groups, gap.order) == self.literal_seed(pool, lo, hi)
+                assert gap.order == self.literal_seed(pool, lo, hi)
             starts = sorted((pool.valuations[vid].support_lo, vid)
                             for vid, agents in pool.members.items() if agents)
             assert pool.starts == starts
@@ -367,7 +369,7 @@ class TestGapPool:
         assert pool.award() == 0 and pool.hat_own[0] == 1
         assert [vid for _, vid in pool.starts] == ["right"]
         gap = pool._seed(_Gap(Fraction(0), Fraction(1)))
-        assert (gap.groups, gap.order) == ({"right": [1]}, [(Fraction(1, 2), "right")])
+        assert gap.order == [(Fraction(1, 2), "right")] and pool.members["right"] == [1]
 
 
 class TestMergeFinal:
@@ -393,7 +395,7 @@ class TestMergeFinal:
 
 def test_solve_mult_validates_c():
     inst = two_agent_instance()
-    for c in [Fraction(0), Fraction(1), Fraction(-1, 10)]:
+    for c in [Fraction(0), Fraction(1), Fraction(-1, 10), 0.1]:
         with pytest.raises(ValidationError):
             solve_mult(inst, c)
 
@@ -403,3 +405,71 @@ def test_solve_mult_reports_ratio_checks():
     names = [c.name for c in report.checks]
     assert "mult_ratio_bound" in names and "value_floor" in names
     assert report.passed, report.failures()
+
+
+# (n, family, seed, parameter, value, (eval_count, cut_count, phase1_iterations,
+# phase2_iterations, cycle_rotations), sha256 of the allocation file with its
+# audit): the first 20 instances of the benchmark's multiplicative sample under
+# solve_mult, then a grouped and a blocks instance under solve.  A change that
+# moves any of these counts or bytes must say why.
+C = Fraction(1, 10)
+PINNED_RUNS = [
+    (2, "random", 1000, "c", C, (1215, 404, 84, 20, 0),
+     "7c50673c97ce61c15d450376d5b46e121732a0deb8805ace57021207077e76b6"),
+    (3, "identical", 1001, "c", C, (1327, 407, 147, 0, 0),
+     "1e839a3d0065d2657eb9c999aa27ade8ca5ee51ba5134ec7bbe2f39a33d29a11"),
+    (4, "blocks", 1002, "c", C, (4402, 1932, 324, 240, 0),
+     "f8a425f7e3bb12d2f9ae8bffaec1b7fef88c2ffa967856cc2e09b2cb4104a914"),
+    (5, "grouped", 1003, "c", C, (4533, 1467, 306, 0, 0),
+     "f8fdf89b2764b6ceb4871c5b8134df22935f888b66f18ca96691addb7ceb0e18"),
+    (6, "random", 1004, "c", C, (15194, 5919, 403, 0, 0),
+     "d56f585031f9e88650bdf80cf7a409db1dcbd1e268fd0da82334acff87d3bb43"),
+    (2, "identical", 1005, "c", C, (799, 235, 83, 0, 0),
+     "a573d9553a889cbd32553cb93a88589daebcc8d89217a5a71fd503a51a4216e5"),
+    (3, "blocks", 1006, "c", C, (2697, 1089, 183, 180, 0),
+     "ceced6dc4d12d9054d01783d162de3fe2cce483c80a5ee74d48c976332f052c9"),
+    (4, "grouped", 1007, "c", C, (3004, 993, 186, 0, 0),
+     "4aad1222f63fbb7a42453ff4b331d60159143497851c32b4780de4899bf08b74"),
+    (5, "random", 1008, "c", C, (8735, 3230, 296, 0, 0),
+     "afb83fc5b0706f66ed452ab4f1c1c3627313e91478bf1a66855915a9038cf5b2"),
+    (6, "identical", 1009, "c", C, (2562, 819, 297, 0, 0),
+     "13f398275df8678058d6dc3bc6b74349081b55a1dc4e8e8b5b435f5c73a0103e"),
+    (2, "blocks", 1010, "c", C, (1292, 480, 80, 120, 0),
+     "fc6ebf4307e5336f10c11f7cc04a60c69039b1a58ae3e95c28eea4f07c35ea65"),
+    (3, "grouped", 1011, "c", C, (2309, 785, 147, 0, 0),
+     "30203b4238308a5dae2c03c4d3331a1d0447dc35fcd6741d5f2e32a9b977cc09"),
+    (4, "random", 1012, "c", C, (5556, 1993, 256, 0, 0),
+     "6193b225b71aa8474a82e8a4f0796f5267ff2cd956b0264917ca7fe0a94bdc60"),
+    (5, "identical", 1013, "c", C, (2465, 804, 292, 0, 0),
+     "9d9af9814a361e811344136527354846412987313063c73e71cbb6dcebfd9227"),
+    (6, "blocks", 1014, "c", C, (9732, 4338, 726, 360, 0),
+     "60cc5d1b9946ed0eac34dc716568aae499be3393adad6f94ce123e54d7e93256"),
+    (2, "grouped", 1015, "c", C, (1324, 504, 74, 47, 0),
+     "b2aa4415e971e79b8328dd937464a54fe567a19ca7091c76cb75f06edb959aa3"),
+    (3, "random", 1016, "c", C, (3266, 1116, 170, 0, 0),
+     "b02c7ad656129bac3c62f136df61c9c225f5b42e933962b4364bae54e322f0c5"),
+    (4, "identical", 1017, "c", C, (1896, 601, 217, 0, 0),
+     "a85e569b38aa5bd57725d211ba2108e1c22edaf4641e14204948e1e4b18bdeaf"),
+    (5, "blocks", 1018, "c", C, (6851, 3000, 500, 300, 0),
+     "cde4ec0bfa7ea049127ae2a70c1f251d35803fe18c45b78c9f5864cbcbdbb9a6"),
+    (6, "grouped", 1019, "c", C, (4800, 1614, 317, 0, 0),
+     "a070ed639af227b2b68bd0366872306893e1088e7312a055d87153d99f68754a"),
+    (50, "grouped", 7, "delta", DELTA, (7325, 2241, 524, 0, 0),
+     "dcb1896ed69ae1413755a490505f9bb4444fedeea01e5dabde64ff05e024b61f"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (56580, 27090, 4530, 450, 0),
+     "ab38faf88e268c7acb8e702ed886c8064726b5b6b8743313397519755f54b86c"),
+]
+
+
+@pytest.mark.parametrize("n, family, seed, key, value, counts, digest", PINNED_RUNS,
+                         ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in PINNED_RUNS])
+def test_query_counts_and_file_bytes_are_pinned(n, family, seed, key, value, counts, digest):
+    instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
+    if key == "c":
+        pieces, _, report = solve_mult(instance, value)
+    else:
+        pieces, _, report = solve(instance, SolverConfig(delta=value))
+    assert (report.eval_count, report.cut_count, report.phase1_iterations,
+            report.phase2_iterations, report.cycle_rotations) == counts
+    text = dumps_canonical(allocation_to_obj(pieces, report.params, report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
