@@ -21,7 +21,6 @@ from .cake import (
     cut_query,
     eval_query,
     interval,
-    validate,
 )
 from .hatvalue import hat_cut, hat_eval, is_bifurcating
 from .allocation import EnvyGraph, check_pieces, unassigned_gaps
@@ -88,5 +87,4 @@ __all__ = [
     "solve_bounded",
     "solve_mult",
     "unassigned_gaps",
-    "validate",
 ]

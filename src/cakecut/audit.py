@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .allocation import check_pieces, hat_matrix, unassigned_gaps
 from .cake import (ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation,
-                   open_unit)
+                   float_error, open_unit)
 from .hatvalue import HALF, QUARTER
 
 if TYPE_CHECKING:  # the solver imports this module
@@ -240,10 +240,17 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
 
     then, given a trace, the n^2/delta loop budgets (when delta is known) and
     hat-value monotonicity.  The report's ``params`` are ``params`` with each
-    value as a ``Fraction``.  Raises :class:`ValidationError` for an unknown
-    key, a value outside (0,1), or ``delta`` other than ``c/8`` when both are
+    value as a ``Fraction``.  Raises :class:`ValidationError` for a piece
+    count other than the valuation count, a float endpoint, an unknown key,
+    a value outside (0,1), or ``delta`` other than ``c/8`` when both are
     given.
     """
+    if len(pieces) != len(valuations):
+        raise ValidationError(f"allocation has {len(pieces)} pieces for {len(valuations)} agents")
+    for piece in pieces:
+        for end in piece or ():
+            if isinstance(end, float):
+                raise float_error("piece endpoint", end)
     params = params or {}
     unknown = sorted(set(params) - set(PARAMS))
     if unknown:
@@ -294,9 +301,6 @@ def brute_force_min_envy(instance: Instance, resolution: int) -> tuple[Fraction,
     found.  Exact but exponential -- fine for n <= 3 at resolution ~100;
     n = 4 is only practical at coarse resolutions (<= 25 or so).
     """
-    problem = instance.first_violation()
-    if problem is not None:
-        raise ValidationError(problem)
     if instance.n > 4:
         raise ValidationError("exhaustive search supports at most 4 agents")
     if resolution < 1:

@@ -29,7 +29,6 @@ from .cake import (
     cut_query,
     eval_query,
     open_unit,
-    validate,
 )
 
 
@@ -40,13 +39,10 @@ def cut_point_grid(v: Valuation, epsilon: Fraction,
     Every interior point is the leftmost one adding exactly epsilon of mass
     after its predecessor, so consecutive points bound the value of any
     sub-interval lying between them by epsilon.  The points strictly
-    increase: mark t has prefix mass t*epsilon <= (ceil(1/epsilon) - 1)*epsilon
-    < 1, so it lies strictly between its predecessor (epsilon less mass) and
-    1.  Raises :class:`ValidationError` for a malformed valuation.
+    increase because ``v``, like every Valuation, has total mass 1: mark t
+    has prefix mass t*epsilon <= (ceil(1/epsilon) - 1)*epsilon < 1, so it
+    lies strictly between its predecessor (epsilon less mass) and 1.
     """
-    problem = validate(v)
-    if problem is not None:
-        raise ValidationError(problem)
     epsilon = open_unit("epsilon", epsilon)
     steps = math.ceil(1 / epsilon)
     points = [ZERO]
@@ -64,9 +60,6 @@ def solve_bounded(instance: Instance, epsilon: Fraction) -> tuple[list[Piece], A
     :class:`ValidationError` when the instance declares too many distinct
     valuations for the requested epsilon.
     """
-    problem = instance.first_violation()
-    if problem is not None:
-        raise ValidationError(problem)
     epsilon = open_unit("epsilon", epsilon)
     n = instance.n
     distinct = instance.distinct_ids()

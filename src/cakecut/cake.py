@@ -31,10 +31,15 @@ class ValidationError(ValueError):
     """Malformed input: instance, allocation file, or parameter out of range."""
 
 
+def float_error(name: str, x: float) -> ValidationError:
+    """The refusal of a float where an exact number belongs (0.1 is not 1/10 in binary)."""
+    return ValidationError(f"{name} must be exact, such as '1/10', not the float {x!r}")
+
+
 def _exact(name: str, x) -> Fraction:
-    """``x`` as a Fraction; ValidationError for a float (0.1 is not 1/10 in binary)."""
+    """``x`` as a Fraction; ValidationError for a float."""
     if isinstance(x, float):
-        raise ValidationError(f"{name} must be exact, such as '1/10', not the float {x!r}")
+        raise float_error(name, x)
     return Fraction(x)
 
 
@@ -89,28 +94,42 @@ class Valuation:
 
     ``breakpoints`` is a strictly increasing sequence of Fractions running
     from 0 to 1; ``densities`` holds one nonnegative Fraction per consecutive
-    breakpoint pair; a float for either raises ValidationError.  Instances are
-    immutable after construction and safe to share; use :func:`validate` to
-    obtain a violation message instead of trusting unchecked input.
+    breakpoint pair, and the total mass is exactly 1.  Input that breaks any
+    of these, or holds a float, raises ValidationError naming the first
+    fault, so a Valuation that exists is valid.  Instances are immutable
+    after construction and safe to share.
     """
 
     __slots__ = ("breakpoints", "densities", "_cum", "support_lo", "support_hi")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence):
-        self.breakpoints = tuple(_exact("breakpoint", b) for b in breakpoints)
-        self.densities = tuple(_exact("density", d) for d in densities)
-        # Cumulative mass at each breakpoint (meaningful once validated).
+        bp = self.breakpoints = tuple(_exact("breakpoint", b) for b in breakpoints)
+        de = self.densities = tuple(_exact("density", d) for d in densities)
+        if len(bp) < 2:
+            raise ValidationError("breakpoints must contain at least 0 and 1")
+        if bp[0] != 0:
+            raise ValidationError(f"first breakpoint is {bp[0]}, expected 0")
+        if bp[-1] != 1:
+            raise ValidationError(f"last breakpoint is {bp[-1]}, expected 1")
+        if len(de) != len(bp) - 1:
+            raise ValidationError(f"expected {len(bp) - 1} densities, got {len(de)}")
+        # One pass over the cells builds the cumulative mass at each
+        # breakpoint and the bounding box of the positive-density region, a
+        # fast "can this agent value anything here?" prefilter.
         cum = [ZERO]
-        for (a, b), d in zip(zip(self.breakpoints, self.breakpoints[1:]), self.densities):
-            cum.append(cum[-1] + d * (b - a))
-        self._cum = tuple(cum)
-        # Bounding box of the positive-density region, used as a fast
-        # "can this agent value anything here?" prefilter.
         lo, hi = ONE, ZERO
-        for (a, b), d in zip(zip(self.breakpoints, self.breakpoints[1:]), self.densities):
+        for k, (a, b, d) in enumerate(zip(bp, bp[1:], de)):
+            if not a < b:
+                raise ValidationError(f"breakpoints not strictly increasing at {a}")
+            if d < 0:
+                raise ValidationError(f"negative density {d} on segment {k}")
             if d > 0:
                 lo = min(lo, a)
-                hi = max(hi, b)
+                hi = b
+            cum.append(cum[-1] + d * (b - a))
+        if cum[-1] != 1:
+            raise ValidationError(f"total mass is {cum[-1]}, expected 1")
+        self._cum = tuple(cum)
         self.support_lo = lo
         self.support_hi = hi
 
@@ -180,30 +199,9 @@ class Valuation:
         return max(x, y)
 
 
-def validate(v: Valuation) -> Optional[str]:
-    """Return None if the valuation is well-formed, else the first violation."""
-    bp, de = v.breakpoints, v.densities
-    if len(bp) < 2:
-        return "breakpoints must contain at least 0 and 1"
-    if bp[0] != 0:
-        return f"first breakpoint is {bp[0]}, expected 0"
-    if bp[-1] != 1:
-        return f"last breakpoint is {bp[-1]}, expected 1"
-    for a, b in zip(bp, bp[1:]):
-        if not a < b:
-            return f"breakpoints not strictly increasing at {a}"
-    if len(de) != len(bp) - 1:
-        return f"expected {len(bp) - 1} densities, got {len(de)}"
-    for k, d in enumerate(de):
-        if d < 0:
-            return f"negative density {d} on segment {k}"
-    total = v._cum[-1]
-    if total != 1:
-        return f"total mass is {total}, expected 1"
-    return None
-
-
 def _check_point(x: Fraction, name: str) -> None:
+    if isinstance(x, float):
+        raise float_error(name, x)
     if not (ZERO <= x <= ONE):
         raise ValueError(f"{name}={x} outside [0,1]")
 
@@ -226,6 +224,8 @@ def cut_query(v: Valuation, x: Fraction, nu: Fraction, counter: Optional[QueryCo
     callers must re-check the achieved value.  Requires nu in (0, 1).
     """
     _check_point(x, "x")
+    if isinstance(nu, float):
+        raise float_error("nu", nu)
     if not (ZERO < nu < ONE):
         raise ValueError(f"cut_query needs nu in (0,1), got {nu}")
     if counter is not None:
@@ -239,17 +239,17 @@ class Instance:
 
     Valuations are stored once under string ids; agents reference an id.  The
     id indirection is what lets the bounded-heterogeneity solver know, by
-    declaration, how many distinct valuations an instance contains.
+    declaration, how many distinct valuations an instance contains.  Building
+    one with no agent, or with an agent whose id names no valuation, raises
+    ValidationError.
     """
 
     def __init__(self, valuations: dict, agent_ids: Sequence[str]):
         self.valuations = dict(valuations)
         self.agent_ids = list(agent_ids)
-        if not self.agent_ids:
-            raise ValueError("instance needs at least one agent")
-        for vid in self.agent_ids:
-            if vid not in self.valuations:
-                raise ValueError(f"agent references unknown valuation id {vid!r}")
+        problem = self.first_violation()
+        if problem is not None:
+            raise ValidationError(problem)
 
     @property
     def n(self) -> int:
@@ -267,8 +267,14 @@ class Instance:
         return seen
 
     def first_violation(self) -> Optional[str]:
-        for vid in sorted(self.valuations):
-            msg = validate(self.valuations[vid])
-            if msg is not None:
-                return f"valuation {vid!r}: {msg}"
+        """None, or what keeps these agents from forming an instance.
+
+        The constructor raises on the message, so a built Instance returns
+        None; its valuations are valid because each Valuation is.
+        """
+        if not self.agent_ids:
+            return "instance needs at least one agent"
+        for vid in self.agent_ids:
+            if vid not in self.valuations:
+                return f"agent references unknown valuation id {vid!r}"
         return None

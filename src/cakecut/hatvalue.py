@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cake import ONE, ZERO, Interval, Piece, QueryCounter, Valuation, cut_query, eval_query
+from .cake import (ONE, ZERO, Interval, Piece, QueryCounter, Valuation, cut_query, eval_query,
+                   float_error)
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -60,6 +61,8 @@ def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
     target of exactly 1 only y2 matters: an interval of full value is itself
     bifurcating, so the plain cut can never come earlier.
     """
+    if isinstance(nu, float):
+        raise float_error("nu", nu)
     if nu <= 0:
         raise ValueError(f"hat_cut needs nu > 0, got {nu}")
     if nu > 1:

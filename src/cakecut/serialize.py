@@ -86,16 +86,12 @@ def instance_from_obj(obj) -> Instance:
         dens = spec.get("densities")
         if not isinstance(bps, list) or not isinstance(dens, list):
             raise ValidationError(f"valuation {vid!r} needs 'breakpoints' and 'densities' lists")
-        parsed[vid] = Valuation([parse_fraction(b) for b in bps],
-                                [parse_fraction(d) for d in dens])
-    try:
-        instance = Instance(parsed, ids)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    problem = instance.first_violation()
-    if problem is not None:
-        raise ValidationError(problem)
-    return instance
+        bps, dens = [parse_fraction(b) for b in bps], [parse_fraction(d) for d in dens]
+        try:
+            parsed[vid] = Valuation(bps, dens)
+        except ValidationError as exc:
+            raise ValidationError(f"valuation {vid!r}: {exc}") from None
+    return Instance(parsed, ids)
 
 
 def report_to_obj(report: AuditReport) -> dict:

@@ -417,9 +417,6 @@ def solve(instance: Instance, config: SolverConfig,
     ``config.delta == mult_c/8``, as ``solve_mult`` sets it) the report also
     audits the multiplicative bounds.
     """
-    problem = instance.first_violation()
-    if problem is not None:
-        raise ValidationError(problem)
     valuations = instance.agent_valuations()
     counter = QueryCounter()
     trace = Trace(level=config.trace_level)

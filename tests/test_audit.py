@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cakecut import (Check, Instance, SolverConfig, ValidationError, Valuation,
+from cakecut import (Check, Instance, Interval, SolverConfig, ValidationError, Valuation,
                      brute_force_min_envy, build_report, check_mult_bounds,
                      check_phase_invariants, check_theorem_bounds, interval,
                      solve, solve_bounded, solve_mult)
@@ -250,6 +250,20 @@ def test_build_report_keeps_its_parameters_as_fractions():
 def test_build_report_rejects_malformed_parameters(params):
     with pytest.raises(ValidationError):
         build_report([interval(0, 1)], [UNIFORM], params=params)
+
+
+def test_build_report_refuses_pieces_that_do_not_fit_its_valuations():
+    thirds = [interval(0, "1/3"), interval("1/3", "2/3"), interval("2/3", 1)]
+    # two pieces for three agents used to raise IndexError
+    with pytest.raises(ValidationError, match="2 pieces for 3 agents"):
+        build_report(thirds[:2], [UNIFORM] * 3, params={"delta": DELTA})
+    # three pieces for two agents used to pass, with a third of the cake unowned
+    with pytest.raises(ValidationError, match="3 pieces for 2 agents"):
+        build_report(thirds, [UNIFORM] * 2, params={"delta": DELTA})
+    # endpoints built as floats used to be audited in floats
+    with pytest.raises(ValidationError, match="float"):
+        build_report([Interval(0.0, 0.5), interval("1/2", 1)], [UNIFORM] * 2,
+                     params={"delta": DELTA})
 
 
 def test_each_audit_builds_one_value_matrix(monkeypatch):

@@ -89,6 +89,6 @@ def test_an_oversize_grid_fails_the_report(monkeypatch):
 
 
 def test_grid_rejects_a_malformed_valuation():
-    # half the mass is missing: without the check the grid would repeat 1
+    # half the mass is missing: it is refused before the grid could repeat 1
     with pytest.raises(ValidationError):
         cut_point_grid(Valuation(["0", "1"], ["1/2"]), Fraction(1, 4))

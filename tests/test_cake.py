@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cakecut import (Instance, Interval, QueryCounter, ValidationError, Valuation, cut_query,
-                     eval_query, interval, validate)
+                     eval_query, interval)
 from oracles import naive_cut, naive_value
 from strategies import lattice_points, valuation_and_point, valuations
 
@@ -43,7 +43,7 @@ class TestValuation:
     @given(valuations())
     def test_total_mass_is_one(self, v):
         assert v.value(Fraction(0), Fraction(1)) == 1
-        assert validate(v) is None
+        assert v.prefix(Fraction(1)) == 1
 
     @given(valuations(), lattice_points(), lattice_points(), lattice_points())
     def test_value_is_additive(self, v, x, y, z):
@@ -95,20 +95,43 @@ class TestValuation:
 
 def test_validate_rejects_malformed_valuations():
     bad = [
-        Valuation([Fraction(0)], []),
-        Valuation([Fraction(0), Fraction(1, 2)], [Fraction(2)]),
-        Valuation([Fraction(1, 4), Fraction(1)], [Fraction(4, 3)]),
-        Valuation([Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)],
-                  [Fraction(1), Fraction(1), Fraction(1)]),
-        Valuation([Fraction(0), Fraction(1)], [Fraction(-1)]),
-        Valuation([Fraction(0), Fraction(1)], [Fraction(2)]),
+        ([Fraction(0)], [], "breakpoints must contain at least 0 and 1"),
+        ([Fraction(0), Fraction(1, 2)], [Fraction(2)], "last breakpoint is 1/2, expected 1"),
+        ([Fraction(1, 4), Fraction(1)], [Fraction(4, 3)], "first breakpoint is 1/4, expected 0"),
+        ([Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)],
+         [Fraction(1), Fraction(1), Fraction(1)], "breakpoints not strictly increasing at 1/2"),
+        ([Fraction(0), Fraction(1)], [Fraction(-1)], "negative density -1 on segment 0"),
+        ([Fraction(0), Fraction(1)], [Fraction(2)], "total mass is 2, expected 1"),
+        ([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)], "expected 1 densities, got 2"),
     ]
-    for v in bad:
-        assert validate(v) is not None
-    # floats are refused before validation, even exactly representable ones
+    for bps, des, message in bad:
+        with pytest.raises(ValidationError) as exc:
+            Valuation(bps, des)
+        assert str(exc.value) == message
+    # floats are refused too, even exactly representable ones
     for bps, des in [([0, 0.5, 1], [2, 0]), ([0, 1], [1.0])]:
         with pytest.raises(ValidationError):
             Valuation(bps, des)
+
+
+raw_numbers = st.fractions(min_value=-1, max_value=2, max_denominator=8)
+
+
+@given(st.one_of(
+    valuations().map(lambda v: (list(v.breakpoints), list(v.densities))),
+    st.tuples(st.lists(raw_numbers, max_size=6), st.lists(raw_numbers, max_size=6)),
+))
+def test_a_valuation_is_valid_or_refused(raw):
+    breakpoints, densities = raw
+    try:
+        v = Valuation(breakpoints, densities)
+    except ValidationError:
+        return
+    bp = v.breakpoints
+    assert bp[0] == 0 and bp[-1] == 1
+    assert all(a < b for a, b in zip(bp, bp[1:]))
+    assert len(v.densities) == len(bp) - 1 and all(d >= 0 for d in v.densities)
+    assert v.prefix(Fraction(1)) == 1
 
 
 class TestQueries:
@@ -122,6 +145,15 @@ class TestQueries:
             eval_query(UNIFORM, Fraction(3, 4), Fraction(1, 4))
         with pytest.raises(ValueError):
             eval_query(UNIFORM, Fraction(-1, 4), Fraction(1, 4))
+
+    def test_queries_refuse_floats(self):
+        # 0.1 is 3602879701896397/36028797018963968, not 1/10
+        for x, y in [(0.1, Fraction(1, 2)), (Fraction(0), 0.5), (0.0, 1.0)]:
+            with pytest.raises(ValidationError):
+                eval_query(UNIFORM, x, y)
+        for x, nu in [(0.1, Fraction(1, 4)), (Fraction(0), 0.25)]:
+            with pytest.raises(ValidationError):
+                cut_query(UNIFORM, x, nu)
 
     @given(valuations(), lattice_points(),
            st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
@@ -153,10 +185,12 @@ class TestInstance:
             Instance({"a": UNIFORM}, ["a", "zzz"])
 
     def test_first_violation_reports_agent_and_reason(self):
-        broken = Valuation([Fraction(0), Fraction(1)], [Fraction(2)])
-        inst = Instance({"a": UNIFORM, "bad": broken}, ["a", "bad"])
-        problem = inst.first_violation()
-        assert problem is not None and "bad" in problem
+        with pytest.raises(ValidationError, match="total mass is 2"):
+            Valuation([Fraction(0), Fraction(1)], [Fraction(2)])
+        with pytest.raises(ValidationError, match="'bad'"):
+            Instance({"a": UNIFORM}, ["a", "bad"])
+        with pytest.raises(ValidationError, match="at least one agent"):
+            Instance({"a": UNIFORM}, [])
 
     def test_valid_instance_passes(self):
         assert Instance({"a": UNIFORM}, ["a"]).first_violation() is None

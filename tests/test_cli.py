@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cakecut import SolverConfig, solve, solve_bounded, solve_mult
+from cakecut import Interval, SolverConfig, solve, solve_bounded, solve_mult
 from cakecut.cli import EXIT_AUDIT, EXIT_INVALID, EXIT_OK, main
 from cakecut.serialize import (allocation_from_obj, allocation_to_obj, dumps_canonical,
                                instance_from_obj)
@@ -166,6 +166,24 @@ def test_validation_failures_exit_2_with_json_diagnostics(tmp_path, capsys):
         code, _, err = run(["solve", str(bad), "--delta", "1/10"], capsys)
         assert code == EXIT_INVALID, name
         assert json.loads(err)["error"] == "validation", name
+
+    # a malformed valuation is named in the diagnostic
+    heavy = {"agents": [{"valuation": "u"}],
+             "valuations": {"u": {"breakpoints": ["0", "1"], "densities": ["2"]}}}
+    bad = tmp_path / "heavy.json"
+    bad.write_text(json.dumps(heavy))
+    code, _, err = run(["solve", str(bad), "--delta", "1/10"], capsys)
+    assert code == EXIT_INVALID
+    assert json.loads(err)["message"] == "valuation 'u': total mass is 2, expected 1"
+
+    # an allocation with 3 rows for this 2-agent instance
+    rows = tmp_path / "rows.json"
+    thirds = [Fraction(k, 3) for k in range(4)]
+    rows.write_text(dumps_canonical(allocation_to_obj(
+        [Interval(a, b) for a, b in zip(thirds, thirds[1:])], {"delta": Fraction(1, 10)})))
+    code, _, err = run(["audit", str(inst), str(rows)], capsys)
+    assert code == EXIT_INVALID
+    assert json.loads(err)["message"] == "allocation has 3 pieces for 2 agents"
 
     # an output path in a missing directory, which also used to exit 1
     missing = str(tmp_path / "missing" / "out.json")

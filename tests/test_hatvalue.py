@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cakecut import (Interval, QueryCounter, Valuation, hat_cut, hat_eval,
+from cakecut import (Interval, QueryCounter, ValidationError, Valuation, hat_cut, hat_eval,
                      interval, is_bifurcating)
 from oracles import grid_hat_cut, naive_hat
 from strategies import lattice_points, valuations
@@ -70,6 +70,17 @@ def test_hat_cut_rejects_nonpositive_targets():
         hat_cut(UNIFORM, Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
         hat_cut(UNIFORM, Fraction(0), Fraction(-1, 2))
+
+
+def test_hat_layer_refuses_floats():
+    # a directly built Interval skips interval()'s float check; the queries catch it
+    with pytest.raises(ValidationError):
+        hat_eval(UNIFORM, Interval(0.1, 0.6))
+    # nu = 1.0 skips the plain cut and 1.5 asks nothing, so hat_cut checks nu itself
+    for x, nu in [(0.1, Fraction(1, 2)), (Fraction(0), 0.5), (Fraction(0), 1.0),
+                  (Fraction(0), 1.5)]:
+        with pytest.raises(ValidationError):
+            hat_cut(UNIFORM, x, nu)
 
 
 def test_hat_cut_above_one_is_unreachable():

@@ -79,7 +79,7 @@ class TestInstanceFiles:
     def test_rejects_semantic_damage(self):
         obj = instance_to_obj(Instance({"u": UNIFORM}, ["u"]))
         obj["valuations"]["u"]["densities"] = ["2"]  # mass 2
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^valuation 'u': total mass is 2, expected 1$"):
             instance_from_obj(obj)
 
 

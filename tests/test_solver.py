@@ -53,9 +53,8 @@ def test_identical_agents_all_get_pieces():
 
 
 def test_solve_rejects_invalid_instance():
-    broken = Valuation(["0", "1"], ["2"])
     with pytest.raises(ValidationError):
-        solve(Instance({"x": broken}, ["x"]), SolverConfig(delta=DELTA))
+        solve(Instance({"x": Valuation(["0", "1"], ["2"])}, ["x"]), SolverConfig(delta=DELTA))
 
 
 def test_config_validates_delta_and_trace_level():
