@@ -1,10 +1,12 @@
 """The cake, agent valuations, and the two oracle queries.
 
 The cake is the unit interval [0,1].  Each agent's preferences are given by a
-piecewise-constant density over [0,1] that integrates to exactly 1.  All
-coordinates, densities, and values are `fractions.Fraction`, so every
-comparison made by the solvers and the auditors is exact -- floats appear only
-when a report is rendered for humans.
+piecewise-constant density over [0,1] that integrates to exactly 1.  Queries
+take points and targets as `fractions.Fraction` and answer with one; inside, a
+`Valuation` keeps its breakpoints and cumulative masses as integer numerators
+over two common denominators and answers from those.  Every comparison made
+by the solvers and the auditors is exact -- floats appear only when a report
+is rendered for humans.
 
 Agents are consulted through two queries:
 
@@ -21,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
+from math import lcm
+from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -34,6 +38,19 @@ class ValidationError(ValueError):
 def float_error(name: str, x: float) -> ValidationError:
     """The refusal of a float where an exact number belongs (0.1 is not 1/10 in binary)."""
     return ValidationError(f"{name} must be exact, such as '1/10', not the float {x!r}")
+
+
+def require_rational(name: str, x) -> None:
+    """ValidationError unless ``x`` is an exact rational number (a query point or target).
+
+    A Fraction passes on its type alone, so the query hot path pays no ABC check.
+    """
+    if type(x) is Fraction or isinstance(x, Rational):
+        return
+    if isinstance(x, float):
+        raise float_error(name, x)
+    raise ValidationError(f"{name} must be an exact rational number, such as Fraction(1, 10), "
+                          f"not {x!r}")
 
 
 def _exact(name: str, x) -> Fraction:
@@ -97,14 +114,24 @@ class Valuation:
     breakpoint pair, and the total mass is exactly 1.  Input that breaks any
     of these, or holds a float, raises ValidationError naming the first
     fault, so a Valuation that exists is valid.  Instances are immutable
-    after construction and safe to share.
+    after construction and safe to share: assigning or deleting an attribute
+    raises AttributeError.
+
+    The queries run on integer tables built once here.  With ``D`` the lcm of
+    the breakpoint denominators and ``M = D * L``, ``L`` the lcm of the
+    density denominators:
+
+    * ``_B[k] / D`` is breakpoint k;
+    * ``_R[k] / L`` is the density on cell k;
+    * ``_C[k] / M`` is the mass of [0, breakpoint k].
     """
 
-    __slots__ = ("breakpoints", "densities", "_cum", "support_lo", "support_hi")
+    __slots__ = ("breakpoints", "densities", "support_lo", "support_hi",
+                 "_D", "_M", "_B", "_R", "_C")
 
     def __init__(self, breakpoints: Sequence, densities: Sequence):
-        bp = self.breakpoints = tuple(_exact("breakpoint", b) for b in breakpoints)
-        de = self.densities = tuple(_exact("density", d) for d in densities)
+        bp = tuple([_exact("breakpoint", b) for b in breakpoints])
+        de = tuple([_exact("density", d) for d in densities])
         if len(bp) < 2:
             raise ValidationError("breakpoints must contain at least 0 and 1")
         if bp[0] != 0:
@@ -113,25 +140,39 @@ class Valuation:
             raise ValidationError(f"last breakpoint is {bp[-1]}, expected 1")
         if len(de) != len(bp) - 1:
             raise ValidationError(f"expected {len(bp) - 1} densities, got {len(de)}")
-        # One pass over the cells builds the cumulative mass at each
-        # breakpoint and the bounding box of the positive-density region, a
-        # fast "can this agent value anything here?" prefilter.
-        cum = [ZERO]
-        lo, hi = ONE, ZERO
-        for k, (a, b, d) in enumerate(zip(bp, bp[1:], de)):
+        D = lcm(*[b.denominator for b in bp])
+        L = lcm(*[d.denominator for d in de])
+        B = tuple([b.numerator * (D // b.denominator) for b in bp])
+        R = tuple([d.numerator * (L // d.denominator) for d in de])
+        # One pass over the cells checks them and builds the cumulative mass
+        # at each breakpoint (cell k adds R[k] * (B[k+1] - B[k]) / M) and the
+        # bounding box of the positive-density region, a fast "can this agent
+        # value anything here?" prefilter.
+        C = [0]
+        lo = hi = None
+        for k, (a, b, r) in enumerate(zip(B, B[1:], R)):
             if not a < b:
-                raise ValidationError(f"breakpoints not strictly increasing at {a}")
-            if d < 0:
-                raise ValidationError(f"negative density {d} on segment {k}")
-            if d > 0:
-                lo = min(lo, a)
-                hi = b
-            cum.append(cum[-1] + d * (b - a))
-        if cum[-1] != 1:
-            raise ValidationError(f"total mass is {cum[-1]}, expected 1")
-        self._cum = tuple(cum)
-        self.support_lo = lo
-        self.support_hi = hi
+                raise ValidationError(f"breakpoints not strictly increasing at {bp[k]}")
+            if r < 0:
+                raise ValidationError(f"negative density {de[k]} on segment {k}")
+            if r > 0:
+                if lo is None:
+                    lo = bp[k]
+                hi = bp[k + 1]
+            C.append(C[-1] + r * (b - a))
+        M = D * L
+        if C[-1] != M:
+            raise ValidationError(f"total mass is {Fraction(C[-1], M)}, expected 1")
+        for name, value in (("breakpoints", bp), ("densities", de), ("support_lo", lo),
+                            ("support_hi", hi), ("_D", D), ("_M", M), ("_B", B), ("_R", R),
+                            ("_C", tuple(C))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Valuation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Valuation is immutable; cannot delete {name!r}")
 
     def __repr__(self) -> str:
         bp = ", ".join(str(b) for b in self.breakpoints)
@@ -148,19 +189,26 @@ class Valuation:
     def __hash__(self) -> int:
         return hash((self.breakpoints, self.densities))
 
+    def _mass(self, p: int, q: int) -> int:
+        """``M * q`` times the mass of [0, p/q], for q > 0 (the mass is 1 beyond 1)."""
+        B = self._B
+        # Cell k holds p/q when B[k] <= p*D/q, that is B[k] <= floor(p*D/q).
+        k = bisect_right(B, p * self._D // q) - 1
+        if k < 0:
+            return 0
+        if k >= len(self._R):
+            return self._M * q
+        return self._C[k] * q + self._R[k] * (p * self._D - B[k] * q)
+
     def prefix(self, x: Fraction) -> Fraction:
         """Exact mass of [0, x]."""
-        # Index of the cell containing x: breakpoints[k] <= x.
-        k = bisect_right(self.breakpoints, x) - 1
-        if k < 0:
-            return ZERO
-        if k >= len(self.densities):
-            return self._cum[-1]
-        return self._cum[k] + self.densities[k] * (x - self.breakpoints[k])
+        q = x.denominator
+        return Fraction(self._mass(x.numerator, q), self._M * q)
 
     def value(self, x: Fraction, y: Fraction) -> Fraction:
         """Exact mass of [x, y] (uncounted; prefer eval_query in solvers)."""
-        return self.prefix(y) - self.prefix(x)
+        p, q, s, t = x.numerator, x.denominator, y.numerator, y.denominator
+        return Fraction(self._mass(s, t) * q - self._mass(p, q) * t, self._M * q * t)
 
     def value_of(self, piece: Piece) -> Fraction:
         return ZERO if piece is None else self.value(piece.lo, piece.hi)
@@ -171,12 +219,17 @@ class Valuation:
         Mass starts accruing immediately to the right of the returned point,
         so any value target over [x, 1] is met strictly beyond it.
         """
-        goal = self.prefix(x)
-        if goal >= self._cum[-1]:
+        mass = self.prefix(x)
+        m, n = mass.numerator, mass.denominator
+        if m >= n:
             return None
-        # First breakpoint whose cumulative mass exceeds the goal.
-        k = bisect_right(self._cum, goal)
-        return max(x, self.breakpoints[k - 1])
+        # First breakpoint whose cumulative mass exceeds the mass of [0, x]:
+        # C[k] > M*m/n exactly when C[k] > floor(M*m/n).
+        k = bisect_right(self._C, self._M * m // n)
+        # Mass starts at breakpoint k-1, or at x if x lies past it.
+        if x.numerator * self._D >= self._B[k - 1] * x.denominator:
+            return x
+        return self.breakpoints[k - 1]
 
     def leftmost_reach(self, x: Fraction, target: Fraction) -> Optional[Fraction]:
         """Leftmost y in [x, 1] with mass(x..y) >= target, or None.
@@ -185,24 +238,29 @@ class Valuation:
         returned point satisfies mass(x..y) == target exactly (unless
         target <= 0, in which case x itself is returned).
         """
-        if target <= 0:
+        tp, tq = target.numerator, target.denominator
+        if tp <= 0:
             return x
-        goal = self.prefix(x) + target
-        if goal > self._cum[-1]:
+        mass = self.prefix(x)
+        Q = mass.denominator * tq
+        goal = mass.numerator * tq + tp * mass.denominator  # Q times the mass of [0, y]
+        if goal > Q:
             return None
-        # First breakpoint index whose cumulative mass reaches the goal.
-        k = bisect_left(self._cum, goal)
-        if k == 0:
-            return max(x, self.breakpoints[0])
-        # Cumulative mass rises strictly inside cell k-1, so invert linearly.
-        y = self.breakpoints[k - 1] + (goal - self._cum[k - 1]) / self.densities[k - 1]
-        return max(x, y)
+        # The first breakpoint whose cumulative mass reaches the goal ends the
+        # cell k holding y: C[j] >= M*goal/Q exactly when C[j] >= ceil(M*goal/Q),
+        # and the goal is positive, so that breakpoint is not the first.
+        M = self._M
+        k = bisect_left(self._C, -(-M * goal // Q)) - 1
+        # Cumulative mass rises strictly inside cell k, so invert linearly:
+        # y = B[k]/D + (goal/Q - C[k]/M) / (R[k]/L), with M = D*L.  The mass
+        # of [0, y] is the goal, more than that of [0, x], so y > x.
+        r = self._R[k]
+        return Fraction(self._B[k] * Q * r + M * goal - self._C[k] * Q, self._D * Q * r)
 
 
 def _check_point(x: Fraction, name: str) -> None:
-    if isinstance(x, float):
-        raise float_error(name, x)
-    if not (ZERO <= x <= ONE):
+    require_rational(name, x)
+    if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"{name}={x} outside [0,1]")
 
 
@@ -210,7 +268,7 @@ def eval_query(v: Valuation, x: Fraction, y: Fraction, counter: Optional[QueryCo
     """Robertson-Webb evaluation query: the exact value of [x, y]."""
     _check_point(x, "x")
     _check_point(y, "y")
-    if x > y:
+    if x.numerator * y.denominator > y.numerator * x.denominator:
         raise ValueError(f"eval_query needs x <= y, got {x} > {y}")
     if counter is not None:
         counter.eval_count += 1
@@ -224,9 +282,8 @@ def cut_query(v: Valuation, x: Fraction, nu: Fraction, counter: Optional[QueryCo
     callers must re-check the achieved value.  Requires nu in (0, 1).
     """
     _check_point(x, "x")
-    if isinstance(nu, float):
-        raise float_error("nu", nu)
-    if not (ZERO < nu < ONE):
+    require_rational("nu", nu)
+    if not 0 < nu.numerator < nu.denominator:
         raise ValueError(f"cut_query needs nu in (0,1), got {nu}")
     if counter is not None:
         counter.cut_count += 1
@@ -270,10 +327,14 @@ class Instance:
         """None, or what keeps these agents from forming an instance.
 
         The constructor raises on the message, so a built Instance returns
-        None; its valuations are valid because each Valuation is.
+        None; its valuations are valid because each Valuation is, and every
+        value it holds is one.
         """
         if not self.agent_ids:
             return "instance needs at least one agent"
+        for vid, v in self.valuations.items():
+            if not isinstance(v, Valuation):
+                return f"valuation {vid!r} is a {type(v).__name__}, not a Valuation"
         for vid in self.agent_ids:
             if vid not in self.valuations:
                 return f"agent references unknown valuation id {vid!r}"

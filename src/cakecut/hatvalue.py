@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cake import (ONE, ZERO, Interval, Piece, QueryCounter, Valuation, cut_query, eval_query,
-                   float_error)
+                   require_rational)
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -61,8 +61,7 @@ def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
     target of exactly 1 only y2 matters: an interval of full value is itself
     bifurcating, so the plain cut can never come earlier.
     """
-    if isinstance(nu, float):
-        raise float_error("nu", nu)
+    require_rational("nu", nu)
     if nu <= 0:
         raise ValueError(f"hat_cut needs nu > 0, got {nu}")
     if nu > 1:

@@ -43,6 +43,16 @@ def naive_cut(valuation, x, nu):
     return None
 
 
+def naive_next_mass(valuation, x):
+    """Largest y >= x with naive_value(x, y) == 0, or None, by walking segments."""
+    x = Fraction(x)
+    for a, b, d in zip(valuation.breakpoints, valuation.breakpoints[1:],
+                       valuation.densities):
+        if b > x and d > 0:
+            return max(a, x)
+    return None
+
+
 def naive_hat(valuation, x, y) -> Fraction:
     """Hat value of [x, y] straight from the definition."""
     raw = naive_value(valuation, x, y)

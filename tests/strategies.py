@@ -33,6 +33,49 @@ def valuations(draw, max_pieces=6, grid=GRID):
     return Valuation(breakpoints, [Fraction(w) / mass for w in weights])
 
 
+# Pairwise coprime denominators, so the lcm of a valuation's breakpoint
+# denominators is rarely one of them and integer keys must round.
+COPRIME = (2, 3, 5, 7, 11, 13, 97, 1009, 999983)
+
+
+@st.composite
+def mixed_valuations(draw, max_pieces=6):
+    """A valuation off any common lattice, with zero-density stretches.
+
+    Each breakpoint has a denominator drawn from COPRIME, and each weight is
+    0 (a zero-density stretch) or k/m for m in COPRIME, so both the
+    breakpoint and the density denominators are mixed.
+    """
+    pieces = draw(st.integers(1, max_pieces))
+    cuts = set()
+    for _ in range(pieces - 1):
+        q = draw(st.sampled_from(COPRIME))
+        cuts.add(Fraction(draw(st.integers(1, q - 1)), q))
+    breakpoints = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+    weight = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(1, 9), st.sampled_from(COPRIME)))
+    weights = draw(st.lists(weight, min_size=len(breakpoints) - 1,
+                            max_size=len(breakpoints) - 1).filter(any))
+    mass = sum(w * (b - a) for w, a, b in zip(weights, breakpoints, breakpoints[1:]))
+    return Valuation(breakpoints, [w / mass for w in weights])
+
+
+@st.composite
+def kernel_points(draw, valuation):
+    """A point of [0, 1] where the kernel's integer keys round, or meet a breakpoint.
+
+    One of: a breakpoint exactly (0 and 1 included); a point just beside a
+    breakpoint; or an off-lattice point with a denominator up to 10**6.
+    """
+    b = draw(st.sampled_from(valuation.breakpoints))
+    nudge = Fraction(draw(st.integers(-1, 1)), draw(st.integers(2, 10 ** 6)))
+    return draw(st.one_of(
+        st.just(b),
+        st.just(min(max(b + nudge, Fraction(0)), Fraction(1))),
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+    ))
+
+
 @st.composite
 def valuation_and_point(draw):
     return draw(valuations()), draw(lattice_points())

@@ -1,5 +1,7 @@
 """Measure arithmetic and Robertson-Webb queries against naive oracles."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from cakecut import (Instance, Interval, QueryCounter, ValidationError, Valuation, cut_query,
                      eval_query, interval)
-from oracles import naive_cut, naive_value
-from strategies import lattice_points, valuation_and_point, valuations
+from oracles import naive_cut, naive_next_mass, naive_value
+from strategies import (kernel_points, lattice_points, mixed_valuations, valuation_and_point,
+                        valuations)
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 LEFT_HALF = Valuation([Fraction(0), Fraction(1, 2), Fraction(1)],
@@ -92,6 +95,58 @@ class TestValuation:
         assert v.leftmost_reach(Fraction(0), Fraction(1)) == 1
         assert v.next_mass(Fraction(1, 4)) == Fraction(1, 2)
 
+    def test_a_valuation_cannot_be_changed(self):
+        v = Valuation(["0", "1/2", "1"], ["3/2", "1/2"])
+        before = v.prefix(Fraction(1, 2))
+        for name in ("densities", "breakpoints", "support_lo", "_C"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, (Fraction(2),))
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert v.densities == (Fraction(3, 2), Fraction(1, 2))
+        assert v.prefix(Fraction(1, 2)) == before == Fraction(3, 4)
+
+
+def is_reduced(r) -> bool:
+    return type(r) is Fraction and r.denominator > 0 and \
+        math.gcd(r.numerator, r.denominator) == 1
+
+
+class TestIntegerKernel:
+    """The integer tables against the oracles, on points where their keys round.
+
+    ``mixed_valuations`` puts breakpoints on coprime denominators and adds
+    zero-density stretches; ``kernel_points`` hits breakpoints, 0 and 1
+    exactly, lands just beside them, or lies off any lattice.  Targets end
+    exactly at a breakpoint's mass, just beside it, or anywhere.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_the_oracles(self, data):
+        v = data.draw(mixed_valuations())
+        x, y = sorted([data.draw(kernel_points(v)), data.draw(kernel_points(v))])
+        to_breakpoint = naive_value(v, x, max(x, data.draw(st.sampled_from(v.breakpoints))))
+        # from a tenth down to below 1/M, M the denominator of the mass table
+        nudge = Fraction(data.draw(st.integers(-1, 1)), 10 ** data.draw(st.integers(1, 40)))
+        target = data.draw(st.sampled_from([to_breakpoint, to_breakpoint + nudge,
+                                            data.draw(st.fractions(0, 1, max_denominator=10 ** 6))]))
+
+        answers = [v.prefix(x), v.value(x, y), eval_query(v, x, y)]
+        assert answers == [naive_value(v, 0, x)] + [naive_value(v, x, y)] * 2
+        reach = v.next_mass(x)
+        assert reach == naive_next_mass(v, x)
+        answers.append(reach)
+        reach = v.leftmost_reach(x, target)
+        assert reach == (x if target <= 0 else naive_cut(v, x, target))
+        answers.append(reach)
+        if 0 < target < 1:
+            cut = cut_query(v, x, target)
+            expected = naive_cut(v, x, target)
+            assert cut == (Fraction(1) if expected is None else expected)
+            answers.append(cut)
+        assert all(is_reduced(r) for r in answers if r is not None)
+
 
 def test_validate_rejects_malformed_valuations():
     bad = [
@@ -154,6 +209,14 @@ class TestQueries:
         for x, nu in [(0.1, Fraction(1, 4)), (Fraction(0), 0.25)]:
             with pytest.raises(ValidationError):
                 cut_query(UNIFORM, x, nu)
+        # so are other non-rationals, which used to raise TypeError
+        for bad in [Decimal("0.5"), "1/2", None, complex(0, 1)]:
+            for call in [lambda: eval_query(UNIFORM, 0, bad),
+                         lambda: eval_query(UNIFORM, bad, 1),
+                         lambda: cut_query(UNIFORM, bad, Fraction(1, 4)),
+                         lambda: cut_query(UNIFORM, 0, bad)]:
+                with pytest.raises(ValidationError, match="exact"):
+                    call()
 
     @given(valuations(), lattice_points(),
            st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
@@ -191,6 +254,11 @@ class TestInstance:
             Instance({"a": UNIFORM}, ["a", "bad"])
         with pytest.raises(ValidationError, match="at least one agent"):
             Instance({"a": UNIFORM}, [])
+
+    def test_a_value_that_is_not_a_valuation_is_refused(self):
+        for bad in ["x", None, (["0", "1"], ["1"])]:
+            with pytest.raises(ValidationError, match="valuation 'b' is a"):
+                Instance({"a": UNIFORM, "b": bad}, ["a"])
 
     def test_valid_instance_passes(self):
         assert Instance({"a": UNIFORM}, ["a"]).first_violation() is None

@@ -1,5 +1,6 @@
 """Bifurcating intervals, hat values, and the constant-query hat cut."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,7 +79,7 @@ def test_hat_layer_refuses_floats():
         hat_eval(UNIFORM, Interval(0.1, 0.6))
     # nu = 1.0 skips the plain cut and 1.5 asks nothing, so hat_cut checks nu itself
     for x, nu in [(0.1, Fraction(1, 2)), (Fraction(0), 0.5), (Fraction(0), 1.0),
-                  (Fraction(0), 1.5)]:
+                  (Fraction(0), 1.5), (Fraction(0), Decimal("1.5")), (Fraction(0), "1/2")]:
         with pytest.raises(ValidationError):
             hat_cut(UNIFORM, x, nu)
 
