@@ -48,7 +48,7 @@ from .cake import (
     open_unit,
 )
 from .allocation import EnvyGraph, unassigned_gaps
-from .hatvalue import hat_cut, hat_eval
+from .hatvalue import Median, hat_cut, hat_eval, hat_with_prefix
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,12 @@ class GapPool:
     """State of the growth phase: pieces, hat values and the sorted gaps.
 
     Agents sharing a valuation name the same prefixes, so each gap lists its
-    candidates by valuation id and queries once per id.  A gap is
+    candidates by valuation id and queries once per id.  Answers the pool
+    already holds are not asked again: each id's ``Median`` (cut(0, 1/2) and
+    the mass right of it) is asked at most once per solve, the mass of
+    [0, lo] that the gap's hat value asked goes on to ``hat_cut``, and the
+    hat value ``hat_cut`` returns with its point decides ties and becomes
+    the winner's hat value, so an award asks nothing itself.  A gap is
     seeded only from valuations whose support box meets it.  Boxes are the
     support endpoints scaled by the lcm of their denominators, so the test
     is on integers and exact: a support that only touches a gap at an
@@ -151,6 +156,7 @@ class GapPool:
         self.members: dict[str, list[int]] = {}
         for i, vid in enumerate(self.vids):
             self.members.setdefault(vid, []).append(i)
+        self.medians = {vid: Median(self.valuations[vid], counter) for vid in self.members}
         supports = {vid: (self.valuations[vid].support_lo, self.valuations[vid].support_hi)
                     for vid in self.members}
         self.scale = lcm(*(x.denominator for box in supports.values() for x in box))
@@ -210,8 +216,8 @@ class GapPool:
             lo = gaps.pop(k).lo
         gaps.insert(k, self._seed(_Gap(lo, hi)))
 
-    def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int]]:
-        """Shortest qualifying prefix of ``g`` as (endpoint, agent), if any.
+    def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int, Fraction]]:
+        """Shortest qualifying prefix of ``g`` as (endpoint, agent, hat value), if any.
 
         Walks the ids in mass-start order: once some id names a prefix
         endpoint, any id whose mass begins at or beyond it cannot name a
@@ -224,32 +230,35 @@ class GapPool:
         interval containing a bifurcating one is bifurcating itself).
         """
         hat_own, step = self.hat_own, self.step
-        best: Optional[tuple[Fraction, int]] = None
+        best: Optional[tuple[Fraction, int, Fraction]] = None
         for start, vid in list(g.order):
             if best is not None and start >= best[0]:
                 break  # mass starts too far right to beat the current prefix
             v = self.valuations[vid]
             members = self.members[vid]
-            # An id whose agents are all full asks nothing.
-            reach = hat_eval(v, g.interval(), self.counter) if members else None
-            live = [i for i in members if hat_own[i] + step <= reach]
+            live = []
+            if members:  # an id whose agents are all full asks nothing
+                reach, prefix = hat_with_prefix(v, g.lo, g.hi, self.counter)
+                live = [i for i in members if hat_own[i] + step <= reach]
             if not live:
                 g.order.remove((start, vid))
                 continue
             rep = min(live, key=lambda i: (hat_own[i], i))
-            r = hat_cut(v, g.lo, hat_own[rep] + step, self.counter)
-            if r is None or r > g.hi:
-                raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {r}, "
+            claim = hat_cut(v, g.lo, hat_own[rep] + step, self.counter, prefix, self.medians[vid])
+            if claim is None or claim[0] > g.hi:
+                point = None if claim is None else claim[0]
+                raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
                                    f"not a point of the gap {g.interval()}")
+            r, at_r = claim
             if len(live) == 1:
                 winner = rep
             else:
                 # Every candidate whose target the prefix [lo, r] meets stops
                 # at r as well; the lowest index among them wins ties.
-                at_r = hat_eval(v, Interval(g.lo, r), self.counter)
                 winner = min(i for i in live if hat_own[i] + step <= at_r)
-            if best is None or (r, winner) < best:
-                best = (r, winner)
+            # An agent appears under one id only, so (r, winner) never ties.
+            if best is None or (r, winner, at_r) < best:
+                best = (r, winner, at_r)
         return best
 
     def award(self) -> Optional[int]:
@@ -263,10 +272,9 @@ class GapPool:
                 break
         else:
             return None  # exact exit condition: no (gap, agent) pair qualifies
-        r, a = claim
+        r, a, hat = claim
         released = self.pieces[a]
         piece = Interval(g.lo, r)
-        hat = hat_eval(self.valuations[self.vids[a]], piece, self.counter)
         if hat < self.hat_own[a] + self.step:
             raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
                                f"to {hat}, by less than {self.step}")
@@ -329,7 +337,13 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     n = instance.n
     gaps = unassigned_gaps(pieces)
     if len(gaps) <= n:
-        trace.snap("phase2_end", pieces, gaps, [hat_eval(v, p) for v, p in zip(valuations, pieces)])
+        # Nothing to append: phase 2 ends where phase 1 did.  Within a solve
+        # the phase-1 snapshot holds these pieces' hat values, so the phase
+        # asks no query for its snapshot, counted or not.
+        last = trace.snapshots[-1] if trace.snapshots else None
+        hats = last.hat_values if last is not None and last.pieces == list(pieces) else \
+            [hat_eval(v, p) for v, p in zip(valuations, pieces)]
+        trace.snap("phase2_end", pieces, gaps, hats)
         return list(pieces)
 
     graph = EnvyGraph(pieces, valuations, counter)

@@ -1,13 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here recomputes results from the raw (breakpoints, densities)
-data by direct summation or grid scanning -- no prefix sums, no binary
-search over mass, none of the package's shortcut logic -- so agreement is
-meaningful evidence rather than the same code run twice.
+Everything here but ``literal_hat_cut`` recomputes results from the raw
+(breakpoints, densities) data by direct summation or grid scanning -- no
+prefix sums, no binary search over mass, none of the package's shortcut
+logic -- so agreement is meaningful evidence rather than the same code run
+twice.
 """
 
 import math
 from fractions import Fraction
+
+from cakecut import Interval, cut_query, eval_query, is_bifurcating
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -81,6 +84,30 @@ def grid_hat_cut(valuation, x, nu, resolution=10 ** 4):
         else:
             lo = mid + 1
     return Fraction(lo, resolution)
+
+
+def literal_hat_cut(v, x, nu, counter=None):
+    """The hat cut point as first written, asking every query it uses afresh.
+
+    Unlike the oracles above this one goes through the package's queries:
+    it is the plain two-candidate transcription that ``cakecut.hat_cut``
+    must keep naming the same point as, and the cut the literal growth loop
+    in ``reference_solver`` asks.
+    """
+    if nu <= 0:
+        raise ValueError(f"hat_cut needs nu > 0, got {nu}")
+    if nu > 1:
+        return None
+    best = None
+    if nu < 1:
+        y1 = cut_query(v, x, nu, counter)
+        if eval_query(v, x, y1, counter) >= nu:
+            best = y1
+    if eval_query(v, Fraction(0), x, counter) <= HALF:
+        y2 = max(cut_query(v, x, QUARTER, counter), cut_query(v, Fraction(0), HALF, counter))
+        if is_bifurcating(v, Interval(x, y2), counter) and (best is None or y2 < best):
+            best = y2
+    return best
 
 
 def envy_matrix(pieces, valuations):

@@ -4,15 +4,17 @@ The growth loop recomputes the unassigned gaps every iteration, asks every
 agent about every gap, and hands the leftmost gap with a qualifying agent's
 shortest qualifying prefix to that agent (lowest index on ties).  The
 appending loop rebuilds the gaps, the hat matrix and the envy graph every
-iteration.  No groups, no cache, no prefilter, no incremental edges:
+iteration.  No groups, no cache, no prefilter, no incremental edges, no
+reused answers (the hat cut is ``oracles.literal_hat_cut``):
 agreement with ``cakecut.phase_one`` and ``cakecut.phase_two`` checks all
 of their bookkeeping at once.
 """
 
 from fractions import Fraction
 
-from cakecut import Interval, cut_query, hat_cut, hat_eval, unassigned_gaps
+from cakecut import Interval, cut_query, hat_eval, unassigned_gaps
 from cakecut.allocation import envy_edges, hat_matrix, resolve_cycles
+from oracles import literal_hat_cut
 
 
 def growth_phase(instance, delta):
@@ -24,7 +26,7 @@ def growth_phase(instance, delta):
     iterations = 0
     while True:
         for gap in unassigned_gaps(pieces):
-            claims = [(hat_cut(v, gap.lo, hats[i] + step), i)
+            claims = [(literal_hat_cut(v, gap.lo, hats[i] + step), i)
                       for i, v in enumerate(valuations)
                       if hat_eval(v, gap) >= hats[i] + step]
             if claims:

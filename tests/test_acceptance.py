@@ -19,8 +19,8 @@ from cakecut import (EnvyGraph, GeneratorSpec, Instance, SolverConfig, Valuation
 from cakecut.allocation import envy_edges, hat_matrix
 from cakecut.cake import Interval
 from cakecut.cli import EXIT_OK, main
-from oracles import (grid_hat_cut, naive_cut, naive_hat, naive_value, replay_edge_counts,
-                     worst_envy)
+from oracles import (grid_hat_cut, literal_hat_cut, naive_cut, naive_hat, naive_value,
+                     replay_edge_counts, worst_envy)
 
 FAMILY_ROTATION = ("random", "identical", "blocks", "grouped")
 
@@ -175,7 +175,11 @@ def test_cycle_elimination_1000_partial_allocations():
 
 
 def test_hat_cut_matches_grid_oracle_10000_triples():
-    """hat_cut within one 1e-4 grid step of a scan oracle; targets honored."""
+    """hat_cut within one 1e-4 grid step of a scan oracle; targets honored.
+
+    The point is also the literal cut's, and the hat value returned with it
+    is that of [x, point].
+    """
     rng = random.Random(7)
     resolution = 10 ** 4
     step = Fraction(1, resolution)
@@ -187,15 +191,19 @@ def test_hat_cut_matches_grid_oracle_10000_triples():
         for _ in range(5):
             x = Fraction(rng.randint(0, 48), 48)
             nu = Fraction(rng.randint(1, 21), 20)
-            exact = hat_cut(v, x, nu)
+            claim = hat_cut(v, x, nu)
             coarse = grid_hat_cut(v, x, nu, resolution)
-            if exact is None:
+            if claim is None:
                 assert coarse is None, (v, x, nu, coarse)
+                assert literal_hat_cut(v, x, nu) is None, (v, x, nu)
                 none_agreements += 1
             else:
+                exact, hat = claim
                 assert coarse is not None, (v, x, nu, exact)
                 assert exact <= coarse < exact + step, (v, x, nu, exact, coarse)
-                assert hat_eval(v, Interval(x, exact)) >= nu
+                assert exact == literal_hat_cut(v, x, nu), (v, x, nu, exact)
+                # the hat value returned with the point is the one asked afresh
+                assert hat == hat_eval(v, Interval(x, exact)) >= nu, (v, x, nu, hat)
             checked += 1
     elapsed = time.monotonic() - started
     assert checked == 10000

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cakecut.hatvalue
 from cakecut import (Interval, QueryCounter, ValidationError, Valuation, hat_cut, hat_eval,
                      interval, is_bifurcating)
-from oracles import grid_hat_cut, naive_hat
-from strategies import lattice_points, valuations
+from cakecut.hatvalue import Median, hat_with_prefix
+from oracles import grid_hat_cut, literal_hat_cut, naive_hat
+from strategies import kernel_points, lattice_points, mixed_valuations, valuations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 
@@ -58,10 +60,11 @@ def test_hat_value_monotone_under_connected_superset(v, a, b, c, d):
 @given(valuations(), lattice_points(),
        st.fractions(min_value=Fraction(1, 20), max_value=Fraction(21, 20)))
 def test_hat_cut_point_reaches_target(v, x, nu):
-    y = hat_cut(v, x, nu)
-    if y is not None:
+    claim = hat_cut(v, x, nu)
+    if claim is not None:
+        y, hat = claim
         assert x <= y <= 1
-        assert hat_eval(v, Interval(x, y)) >= nu
+        assert hat == hat_eval(v, Interval(x, y)) >= nu
     else:
         assert hat_eval(v, Interval(x, Fraction(1))) < nu
 
@@ -91,7 +94,7 @@ def test_hat_cut_above_one_is_unreachable():
 def test_hat_cut_target_one_needs_bifurcation():
     # from 0 the uniform agent can never leave <= 1/2 on no side; the
     # earliest bifurcating prefix ends where [0,y] holds 1/2
-    assert hat_cut(UNIFORM, Fraction(0), Fraction(1)) == Fraction(1, 2)
+    assert hat_cut(UNIFORM, Fraction(0), Fraction(1)) == (Fraction(1, 2), 1)
     # starting past the midpoint, [0,x] > 1/2 kills the y2 route
     assert hat_cut(UNIFORM, Fraction(3, 4), Fraction(1)) is None
 
@@ -99,7 +102,7 @@ def test_hat_cut_target_one_needs_bifurcation():
 def test_hat_cut_prefers_earlier_bifurcation_over_plain_cut():
     # plain value 9/10 is reached only at y = 9/10, but [0, 1/2] is already
     # bifurcating and scores 1 >= 9/10
-    assert hat_cut(UNIFORM, Fraction(0), Fraction(9, 10)) == Fraction(1, 2)
+    assert hat_cut(UNIFORM, Fraction(0), Fraction(9, 10)) == (Fraction(1, 2), 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,13 +111,13 @@ def test_hat_cut_prefers_earlier_bifurcation_over_plain_cut():
 def test_hat_cut_agrees_with_grid_scan(v, x, nu):
     """Exact cut sits within one grid step left of the grid-scan answer."""
     resolution = 10 ** 4
-    exact = hat_cut(v, x, nu)
+    claim = hat_cut(v, x, nu)
     coarse = grid_hat_cut(v, x, nu, resolution)
-    if exact is None:
+    if claim is None:
         assert coarse is None
     else:
         assert coarse is not None
-        assert exact <= coarse < exact + Fraction(1, resolution)
+        assert claim[0] <= coarse < claim[0] + Fraction(1, resolution)
 
 
 @given(valuations(), lattice_points(),
@@ -124,3 +127,77 @@ def test_hat_cut_uses_constant_queries(v, x, nu):
     counter = QueryCounter()
     hat_cut(v, x, nu, counter)
     assert counter.eval_count + counter.cut_count <= 8
+
+
+class RecordedQueries:
+    """Every eval/cut query the hat layer asks, as (kind, first argument, second argument)."""
+
+    def __init__(self, monkeypatch):
+        self.asked = []
+        for kind in ("eval_query", "cut_query"):
+            real = getattr(cakecut.hatvalue, kind)
+
+            def recorded(v, a, b, counter=None, real=real, kind=kind):
+                self.asked.append((kind, a, b))
+                return real(v, a, b, counter)
+            monkeypatch.setattr(cakecut.hatvalue, kind, recorded)
+
+
+# nu across (0, 1] and beyond, with the thresholds the code tests exactly
+TARGETS = st.one_of(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+                    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(21, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), TARGETS)
+def test_hat_cut_returns_the_literal_point_and_its_hat(data, nu):
+    """The point is the literal cut's, the hat value is that of [x, point], and
+    no question is asked twice."""
+    v = data.draw(mixed_valuations())
+    x = data.draw(kernel_points(v))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        record = RecordedQueries(monkeypatch)
+        claim = hat_cut(v, x, nu)
+    assert len(record.asked) == len(set(record.asked)), record.asked
+    point = literal_hat_cut(v, x, nu)
+    if point is None:
+        assert claim is None
+    else:
+        assert claim == (point, hat_eval(v, Interval(x, point)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), TARGETS)
+def test_reused_answers_change_no_answer_and_are_not_asked_again(data, nu):
+    """Given the prefix mass and a Median, hat_cut answers the same and asks a subset."""
+    v = data.draw(mixed_valuations())
+    x = data.draw(kernel_points(v))
+    fresh, reused = QueryCounter(), QueryCounter()
+    median = Median(v)
+    median.tail()
+    prefix = v.prefix(x)
+    assert hat_cut(v, x, nu, reused, prefix, median) == hat_cut(v, x, nu, fresh)
+    assert reused.eval_count <= fresh.eval_count and reused.cut_count <= fresh.cut_count
+    assert median.point() == v.leftmost_reach(Fraction(0), Fraction(1, 2))
+
+
+@given(mixed_valuations(), st.data())
+def test_hat_with_prefix_hands_back_the_prefix_it_asked(v, data):
+    lo, hi = sorted([data.draw(kernel_points(v)), data.draw(kernel_points(v))])
+    counter = QueryCounter()
+    hat, prefix = hat_with_prefix(v, lo, hi, counter)
+    assert hat == hat_eval(v, Interval(lo, hi))
+    # the prefix is asked exactly when [lo, hi] is worth 1/4 or more
+    assert (prefix is None) == (v.value(lo, hi) < Fraction(1, 4))
+    assert prefix is None or prefix == v.prefix(lo)
+    asked_tail = prefix is not None and prefix <= Fraction(1, 2)
+    assert counter.eval_count == 1 + (prefix is not None) + asked_tail
+
+
+def test_a_median_asks_each_question_once():
+    counter = QueryCounter()
+    median = Median(UNIFORM, counter)
+    assert (counter.eval_count, counter.cut_count) == (0, 0)
+    for _ in range(3):
+        assert median.tail() == median.point() == Fraction(1, 2)
+    assert (counter.eval_count, counter.cut_count) == (1, 1)

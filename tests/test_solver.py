@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import cakecut.solver
 from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
-                     generate, interval, merge_final, phase_one, phase_two, solve, solve_mult)
+                     generate, hat_eval, interval, merge_final, phase_one, phase_two, solve,
+                     solve_mult)
 from cakecut.serialize import allocation_to_obj, dumps_canonical
 from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
 from oracles import worst_envy
@@ -216,9 +218,10 @@ def test_a_wrong_hat_cut_raises_even_without_asserts(monkeypatch, cut):
     # hat value by less than delta/n; no point at all leaves no prefix
     real = cakecut.solver.hat_cut
 
-    def wrong(v, x, nu, counter=None):
-        y = real(v, x, nu, counter)
-        return None if cut == "none" else x + (y - x) / 2
+    def wrong(v, x, nu, *reused):
+        y, _ = real(v, x, nu, *reused)
+        short = interval(x, x + (y - x) / 2)
+        return None if cut == "none" else (short.hi, hat_eval(v, short))
     monkeypatch.setattr(cakecut.solver, "hat_cut", wrong)
     with pytest.raises(RuntimeError, match="by less than" if cut == "short" else "not a point"):
         solve(two_agent_instance(), SolverConfig(delta=DELTA))
@@ -298,7 +301,8 @@ class TestGapPool:
         pool._release(Fraction(1, 4), Fraction(1, 2))
         assert [g.interval() for g in pool.gaps] == [interval(0, "3/4")]
         assert pool.gaps[0].order == [(Fraction(0), "u")] and pool.members["u"] == [0]
-        assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0)
+        # [0, 7/20] leaves 13/20 on its right, so its hat value is its plain value
+        assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0, Fraction(7, 20))
 
     def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
         valuations = {
@@ -413,50 +417,50 @@ def test_solve_mult_reports_ratio_checks():
 # moves any of these counts or bytes must say why.
 C = Fraction(1, 10)
 PINNED_RUNS = [
-    (2, "random", 1000, "c", C, (1215, 404, 84, 20, 0),
-     "7c50673c97ce61c15d450376d5b46e121732a0deb8805ace57021207077e76b6"),
-    (3, "identical", 1001, "c", C, (1327, 407, 147, 0, 0),
-     "1e839a3d0065d2657eb9c999aa27ade8ca5ee51ba5134ec7bbe2f39a33d29a11"),
-    (4, "blocks", 1002, "c", C, (4402, 1932, 324, 240, 0),
-     "f8a425f7e3bb12d2f9ae8bffaec1b7fef88c2ffa967856cc2e09b2cb4104a914"),
-    (5, "grouped", 1003, "c", C, (4533, 1467, 306, 0, 0),
-     "f8fdf89b2764b6ceb4871c5b8134df22935f888b66f18ca96691addb7ceb0e18"),
-    (6, "random", 1004, "c", C, (15194, 5919, 403, 0, 0),
-     "d56f585031f9e88650bdf80cf7a409db1dcbd1e268fd0da82334acff87d3bb43"),
-    (2, "identical", 1005, "c", C, (799, 235, 83, 0, 0),
-     "a573d9553a889cbd32553cb93a88589daebcc8d89217a5a71fd503a51a4216e5"),
-    (3, "blocks", 1006, "c", C, (2697, 1089, 183, 180, 0),
-     "ceced6dc4d12d9054d01783d162de3fe2cce483c80a5ee74d48c976332f052c9"),
-    (4, "grouped", 1007, "c", C, (3004, 993, 186, 0, 0),
-     "4aad1222f63fbb7a42453ff4b331d60159143497851c32b4780de4899bf08b74"),
-    (5, "random", 1008, "c", C, (8735, 3230, 296, 0, 0),
-     "afb83fc5b0706f66ed452ab4f1c1c3627313e91478bf1a66855915a9038cf5b2"),
-    (6, "identical", 1009, "c", C, (2562, 819, 297, 0, 0),
-     "13f398275df8678058d6dc3bc6b74349081b55a1dc4e8e8b5b435f5c73a0103e"),
-    (2, "blocks", 1010, "c", C, (1292, 480, 80, 120, 0),
-     "fc6ebf4307e5336f10c11f7cc04a60c69039b1a58ae3e95c28eea4f07c35ea65"),
-    (3, "grouped", 1011, "c", C, (2309, 785, 147, 0, 0),
-     "30203b4238308a5dae2c03c4d3331a1d0447dc35fcd6741d5f2e32a9b977cc09"),
-    (4, "random", 1012, "c", C, (5556, 1993, 256, 0, 0),
-     "6193b225b71aa8474a82e8a4f0796f5267ff2cd956b0264917ca7fe0a94bdc60"),
-    (5, "identical", 1013, "c", C, (2465, 804, 292, 0, 0),
-     "9d9af9814a361e811344136527354846412987313063c73e71cbb6dcebfd9227"),
-    (6, "blocks", 1014, "c", C, (9732, 4338, 726, 360, 0),
-     "60cc5d1b9946ed0eac34dc716568aae499be3393adad6f94ce123e54d7e93256"),
-    (2, "grouped", 1015, "c", C, (1324, 504, 74, 47, 0),
-     "b2aa4415e971e79b8328dd937464a54fe567a19ca7091c76cb75f06edb959aa3"),
-    (3, "random", 1016, "c", C, (3266, 1116, 170, 0, 0),
-     "b02c7ad656129bac3c62f136df61c9c225f5b42e933962b4364bae54e322f0c5"),
-    (4, "identical", 1017, "c", C, (1896, 601, 217, 0, 0),
-     "a85e569b38aa5bd57725d211ba2108e1c22edaf4641e14204948e1e4b18bdeaf"),
-    (5, "blocks", 1018, "c", C, (6851, 3000, 500, 300, 0),
-     "cde4ec0bfa7ea049127ae2a70c1f251d35803fe18c45b78c9f5864cbcbdbb9a6"),
-    (6, "grouped", 1019, "c", C, (4800, 1614, 317, 0, 0),
-     "a070ed639af227b2b68bd0366872306893e1088e7312a055d87153d99f68754a"),
-    (50, "grouped", 7, "delta", DELTA, (7325, 2241, 524, 0, 0),
-     "dcb1896ed69ae1413755a490505f9bb4444fedeea01e5dabde64ff05e024b61f"),
-    (30, "blocks", 7, "delta", Fraction(1, 20), (56580, 27090, 4530, 450, 0),
-     "ab38faf88e268c7acb8e702ed886c8064726b5b6b8743313397519755f54b86c"),
+    (2, "random", 1000, "c", C, (824, 290, 84, 20, 0),
+     "0728efd0e080920fad4ab584027f77e30d4abbca53cb5d24479a498d0e567941"),
+    (3, "identical", 1001, "c", C, (717, 278, 147, 0, 0),
+     "79fec7f9505cf170d66d93ddc0fc5b1b4487257ee7b381e42c2f9ae4361811de"),
+    (4, "blocks", 1002, "c", C, (3198, 1608, 324, 240, 0),
+     "5ab22bbe05fc0a76792b0306a5554ab793c0a328b98eacdd5b15104551ed25f4"),
+    (5, "grouped", 1003, "c", C, (2657, 1005, 306, 0, 0),
+     "34c33ae953dc6c9e2085bd8dbb9966c51b99f71a8b3f759f269ca8d7efc11e3f"),
+    (6, "random", 1004, "c", C, (10942, 4047, 403, 0, 0),
+     "5eac12deb9796789a8d6651fa48443a0ea01f6c76ac33a172f3e9ce0e6fb098b"),
+    (2, "identical", 1005, "c", C, (425, 157, 83, 0, 0),
+     "f66f22838beef0045917fd16c92119de4acf946135df5e1739fa7fa36f315c8e"),
+    (3, "blocks", 1006, "c", C, (2016, 906, 183, 180, 0),
+     "f2c457d446b913ef6da665846536fe2c9cf5c8b2bc3e913f1665b57708e54482"),
+    (4, "grouped", 1007, "c", C, (1787, 681, 186, 0, 0),
+     "e4c14b0ee962c54793d1711f88ad0106eb80e1faa1625639ac9b6b6ac1720ba4"),
+    (5, "random", 1008, "c", C, (6251, 2240, 296, 0, 0),
+     "869bfabd5eed0cedf2987db292740b623a2cd70f75b1f8bb927c1382648cf2c0"),
+    (6, "identical", 1009, "c", C, (1455, 559, 297, 0, 0),
+     "b25da0bed9fd5a30f3f2831106f705e1f4d4296ec553682dea7b64811796da55"),
+    (2, "blocks", 1010, "c", C, (994, 400, 80, 120, 0),
+     "dd5c22c93fea6ade3be92e0b924152fb253821245e146c52283f46765274d691"),
+    (3, "grouped", 1011, "c", C, (1440, 537, 147, 0, 0),
+     "4a66cd619fa72eb64832334c5353cd0b568d4447c395c37e2a603b9a3362a8d2"),
+    (4, "random", 1012, "c", C, (3843, 1376, 256, 0, 0),
+     "60f0c52fb6c30c79404c9745a54def4b4e3994693ad6bbf9bb0c7c086f2f05b1"),
+    (5, "identical", 1013, "c", C, (1333, 549, 292, 0, 0),
+     "126a5666bed8969b23b46b17bdefc503b58a6b4d89f2443600bf0c135f32d712"),
+    (6, "blocks", 1014, "c", C, (7050, 3612, 726, 360, 0),
+     "883d9357168b1ea01edb37be3eff24341d5878f0ac8f264612a82d069bb11a6c"),
+    (2, "grouped", 1015, "c", C, (924, 375, 74, 47, 0),
+     "b192b49bfc371e6a9b95e3269b0dcebaab78c63f3b419909d6c332dfb7f9f939"),
+    (3, "random", 1016, "c", C, (2217, 766, 170, 0, 0),
+     "3b5087da07da9467e54e0d059104a07f80284476c4828c6abeda91cb36938a2e"),
+    (4, "identical", 1017, "c", C, (1024, 410, 217, 0, 0),
+     "2f5703b7fa025857ce93efd2f564cad9e60282a3721b44c3c3f6792e797a4701"),
+    (5, "blocks", 1018, "c", C, (5006, 2500, 500, 300, 0),
+     "d4d1cf589aef8c2821c8431366a8afb1f22fe98f8df22f1da521797d40ce1581"),
+    (6, "grouped", 1019, "c", C, (2857, 1114, 317, 0, 0),
+     "3f32eff1be7391d0113f89135e9c3bede7a6949c3f6ed778c47f80bb84c73b33"),
+    (50, "grouped", 7, "delta", DELTA, (4547, 1554, 524, 0, 0),
+     "208c86dce9d33532e806dae34c20939475eeec375ea36509b6c534a6fe9dfb3c"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (39870, 22560, 4530, 450, 0),
+     "a0c51dd9199f37956bab1bd278a3a2bad0f4cd23bd8edd20b2777fd116b4968d"),
 ]
 
 
@@ -472,3 +476,80 @@ def test_query_counts_and_file_bytes_are_pinned(n, family, seed, key, value, cou
             report.phase2_iterations, report.cycle_rotations) == counts
     text = dumps_canonical(allocation_to_obj(pieces, report.params, report))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class QueryLog:
+    """Every query one solve asks, with the solver spans open when it was asked.
+
+    Rebinds ``eval_query``/``cut_query`` in every cakecut module that holds
+    them, and wraps ``phase_one``, ``phase_two``, ``GapPool.award``,
+    ``GapPool._best_claim`` and ``hat_cut`` in named spans.  Each record is
+    ``(spans, hat_cut call number or None, valuation, question, counted)``
+    where ``question`` is ``(kind, first argument, second argument)``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.records = []
+        self.spans = []
+        self.calls = 0
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cakecut") and module is not None:
+                for kind in ("eval_query", "cut_query"):
+                    if hasattr(module, kind):
+                        monkeypatch.setattr(module, kind, self.query(kind, getattr(module, kind)))
+        for owner, attr in [(cakecut.solver, "phase_one"), (cakecut.solver, "phase_two"),
+                            (cakecut.solver, "hat_cut"), (GapPool, "award"),
+                            (GapPool, "_best_claim")]:
+            monkeypatch.setattr(owner, attr, self.span(attr, getattr(owner, attr)))
+
+    def query(self, kind, real):
+        def asked(v, a, b, counter=None):
+            call = next((s for s in reversed(self.spans) if isinstance(s, int)), None)
+            self.records.append((tuple(s for s in self.spans if isinstance(s, str)), call, v,
+                                 (kind, a, b), counter is not None))
+            return real(v, a, b, counter)
+        return asked
+
+    def span(self, name, real):
+        def spanned(*args, **kwargs):
+            if name == "hat_cut":
+                self.calls += 1
+                self.spans.append(self.calls)
+            self.spans.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                self.spans.pop()
+                if name == "hat_cut":
+                    self.spans.pop()
+        return spanned
+
+
+@pytest.mark.parametrize("n, family, seed, key, value, counts, digest", PINNED_RUNS,
+                         ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in PINNED_RUNS])
+def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key, value, counts,
+                                               digest):
+    """cut(0, 1/2) and eval(cut(0, 1/2), 1) once per valuation, no repeat in a hat cut,
+    nothing asked by ``award`` itself, and no query of either phase left uncounted."""
+    instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
+    log = QueryLog(monkeypatch)
+    if key == "c":
+        solve_mult(instance, value)
+    else:
+        solve(instance, SolverConfig(delta=value))
+    half = Fraction(1, 2)
+    for v in {id(v): v for v in instance.valuations.values()}.values():
+        median = v.leftmost_reach(Fraction(0), half)
+        asked = [(call, q) for _, call, w, q, counted in log.records if counted and w is v]
+        assert [q for _, q in asked].count(("cut_query", 0, half)) <= 1
+        # a gap or piece ending at the median asks eval(median, 1) for its own
+        # hat value; the hat cuts share one answer
+        assert [q for call, q in asked if call is not None].count(("eval_query", median, 1)) <= 1
+    per_call = {}
+    for spans, call, v, question, _ in log.records:
+        if call is not None:
+            per_call.setdefault(call, []).append((id(v), question))
+    assert all(len(asked) == len(set(asked)) for asked in per_call.values())
+    assert [r for r in log.records if r[0][-1:] == ("award",)] == []
+    hidden = [r for r in log.records if not r[4] and {"phase_one", "phase_two"} & set(r[0])]
+    assert hidden == []
