@@ -27,7 +27,6 @@ from .allocation import EnvyGraph, check_pieces, unassigned_gaps
 from .audit import (
     AuditReport,
     Check,
-    brute_force_min_envy,
     build_report,
     check_mult_bounds,
     check_phase_invariants,
@@ -62,7 +61,6 @@ __all__ = [
     "Valuation",
     "allocation_from_obj",
     "allocation_to_obj",
-    "brute_force_min_envy",
     "build_report",
     "check_mult_bounds",
     "check_phase_invariants",

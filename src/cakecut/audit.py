@@ -5,20 +5,18 @@ pieces and the valuations with Fraction arithmetic.  The checks come in
 three groups -- structural (disjoint connected pieces covering the cake),
 endpoint bounds on the finished allocation (additive envy, half-value,
 multiplicative ratio, value floor), and mid-run invariants that must hold
-when each solver phase ends.  A small exhaustive search over grid cuts
-serves as an independent reference for what envy is attainable at all.
+when each solver phase ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .allocation import check_pieces, hat_matrix, unassigned_gaps
-from .cake import (ONE, ZERO, Instance, Interval, Piece, QueryCounter, ValidationError, Valuation,
-                   float_error, open_unit)
+from .cake import (ONE, ZERO, Piece, QueryCounter, ValidationError, Valuation, float_error,
+                   open_unit)
 from .hatvalue import HALF, QUARTER
 
 if TYPE_CHECKING:  # the solver imports this module
@@ -290,56 +288,3 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
         report.phase2_iterations = trace.phase2_iterations
         report.cycle_rotations = trace.cycle_rotations
     return report
-
-
-def brute_force_min_envy(instance: Instance, resolution: int) -> tuple[Fraction, list[Piece]]:
-    """Exhaustive reference: minimum max-envy over grid-cut allocations.
-
-    Tries every way to cut the cake at n-1 points drawn from the grid
-    {k/resolution} union all valuation breakpoints, assigning the resulting
-    intervals to agents in every order, and returns the best (envy, pieces)
-    found.  Exact but exponential -- fine for n <= 3 at resolution ~100;
-    n = 4 is only practical at coarse resolutions (<= 25 or so).
-    """
-    if instance.n > 4:
-        raise ValidationError("exhaustive search supports at most 4 agents")
-    if resolution < 1:
-        raise ValidationError(f"resolution must be >= 1, got {resolution}")
-    n = instance.n
-    vals = instance.agent_valuations()
-    grid = {Fraction(k, resolution) for k in range(resolution + 1)}
-    for v in vals:
-        grid.update(v.breakpoints)
-    points = sorted(grid)
-    pref = [{g: v.prefix(g) for g in points} for v in vals]
-
-    def assemble(bounds, perm) -> list[Piece]:
-        out: list[Piece] = []
-        for i in range(n):
-            a, b = bounds[perm[i]], bounds[perm[i] + 1]
-            out.append(Interval(a, b) if a < b else None)
-        return out
-
-    best: Optional[Fraction] = None
-    best_bounds = best_perm = None
-    for cuts in combinations_with_replacement(points, n - 1):
-        bounds = (ZERO,) + cuts + (ONE,)
-        piece_vals = [
-            [pref[i][b] - pref[i][a] for a, b in zip(bounds, bounds[1:])]
-            for i in range(n)
-        ]
-        for perm in permutations(range(n)):
-            worst = ZERO
-            for i in range(n):
-                own = piece_vals[i][perm[i]]
-                for j in range(n):
-                    e = piece_vals[i][perm[j]] - own
-                    if e > worst:
-                        worst = e
-            if best is None or worst < best:
-                best, best_bounds, best_perm = worst, bounds, perm
-                if worst == 0:
-                    return best, assemble(bounds, perm)
-    if best is None:  # cannot happen: the grid is non-empty, so some cut is tried
-        raise RuntimeError("no grid allocation was tried")
-    return best, assemble(best_bounds, best_perm)

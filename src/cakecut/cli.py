@@ -1,4 +1,4 @@
-"""Command-line front end: generate, solve, audit, and benchmark.
+"""Command-line front end: generate, solve and audit.
 
 Subcommands::
 
@@ -7,7 +7,6 @@ Subcommands::
     solve-mult  multiplicative mode, delta = c/8 (--c)
     bounded     grid-based allocation for few distinct valuations (--epsilon)
     audit       re-verify an allocation file against its instance
-    bench       batch runs over seeds with an aggregate report
 
 Exit codes: 0 all audits passed, 1 an audit check failed, 2 malformed
 input, parameters or usage (a missing or unknown argument included).
@@ -24,15 +23,14 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .audit import brute_force_min_envy, build_report
+from .audit import build_report
 from .cake import ValidationError
 from .generate import FAMILIES, GeneratorSpec, generate
-from .serialize import (allocation_from_obj, allocation_to_obj, format_fraction,
-                        instance_from_obj, instance_to_obj, parse_fraction,
-                        read_json, report_to_obj, write_json)
+from .serialize import (allocation_from_obj, allocation_to_obj, instance_from_obj,
+                        instance_to_obj, parse_fraction, read_json, report_to_obj,
+                        write_json)
 from .solver import SolverConfig, solve, solve_mult
 from .bounded import solve_bounded
 
@@ -60,18 +58,6 @@ def integer(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValidationError(f"not an integer: {text!r}")
     return int(text)
-
-
-def _parse_agent_range(text: str) -> list[int]:
-    """"4" -> [4]; "2..8" -> [2, 3, ..., 8]."""
-    lo, sep, hi = text.partition("..")
-    try:
-        bounds = (integer(lo), integer(hi if sep else lo))
-    except ValueError:
-        raise ValidationError(f"bad agent range {text!r}; use N or LO..HI") from None
-    if not (1 <= bounds[0] <= bounds[1]):
-        raise ValidationError(f"bad agent range {text!r}")
-    return list(range(bounds[0], bounds[1] + 1))
 
 
 def _report_exit(report, out) -> int:
@@ -136,62 +122,6 @@ def _cmd_audit(args) -> int:
     return _report_exit(report, args.output)
 
 
-def _cmd_bench(args) -> int:
-    if args.count < 1:
-        raise ValidationError(f"--count must be >= 1, got {args.count}")
-    if args.oracle_resolution < 0:
-        raise ValidationError(f"--oracle-resolution must be >= 0, got {args.oracle_resolution}")
-    agent_counts = _parse_agent_range(args.n)
-    delta = parse_fraction(args.delta)
-    rows = []
-    failed = 0
-    totals = {"eval_queries": 0, "cut_queries": 0}
-    worst_envy = Fraction(0)
-    for k in range(args.count):
-        spec = GeneratorSpec(n=agent_counts[k % len(agent_counts)], family=args.family,
-                             seed=args.seed + k, max_pieces=args.max_pieces)
-        instance = generate(spec)
-        pieces, _, report = solve(instance, SolverConfig(delta=delta))
-        row = {
-            "seed": spec.seed,
-            "n": spec.n,
-            "passed": report.passed,
-            "max_envy": format_fraction(report.max_envy),
-            "eval_queries": report.eval_count,
-            "cut_queries": report.cut_count,
-            "growth_iterations": report.phase1_iterations,
-            "appending_iterations": report.phase2_iterations,
-        }
-        if args.oracle_resolution and spec.n <= 3:
-            optimum, _ = brute_force_min_envy(instance, args.oracle_resolution)
-            row["oracle_min_envy"] = format_fraction(optimum)
-            row["envy_above_oracle"] = format_fraction(report.max_envy - optimum)
-        rows.append(row)
-        failed += not report.passed
-        totals["eval_queries"] += report.eval_count
-        totals["cut_queries"] += report.cut_count
-        worst_envy = max(worst_envy, report.max_envy)
-    summary = {
-        "count": args.count,
-        "family": args.family,
-        "delta": format_fraction(delta),
-        "agent_counts": agent_counts,
-        "violations": failed,
-        "worst_max_envy": format_fraction(worst_envy),
-        "total_eval_queries": totals["eval_queries"],
-        "total_cut_queries": totals["cut_queries"],
-        "runs": rows,
-    }
-    out = _out_path(args.output, "bench-report.json")
-    write_json(out, summary)
-    print(f"bench: {args.count} runs, {failed} violations, worst max envy "
-          f"{worst_envy} (~{float(worst_envy):.4f}); wrote {out}")
-    if failed:
-        _diagnose("audit", f"{failed} of {args.count} runs failed an audit check")
-        return EXIT_AUDIT
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ValidationError, so they exit like any other."""
 
@@ -229,18 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("allocation")
     p.add_argument("-o", "--output", help="also write the recomputed report")
     p.set_defaults(run=_cmd_audit)
-
-    p = sub.add_parser("bench", help="batch solves over consecutive seeds")
-    p.add_argument("--count", type=integer, default=100)
-    p.add_argument("--n", default="2..8", help='agents per run: "4" or "2..8" (round-robin)')
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--family", default="random", choices=FAMILY_CHOICES)
-    p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--max-pieces", type=integer, default=8)
-    p.add_argument("--oracle-resolution", type=integer, default=0,
-                   help="if > 0, compare n <= 3 runs against the brute-force optimum")
-    p.add_argument("-o", "--output")
-    p.set_defaults(run=_cmd_bench)
 
     return parser
 

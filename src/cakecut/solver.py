@@ -55,6 +55,11 @@ log = logging.getLogger(__name__)
 TRACE_LEVELS = ("phase_boundaries", "full")
 
 
+def _check_trace_level(level: str) -> None:
+    if level not in TRACE_LEVELS:
+        raise ValidationError(f"unknown trace level {level!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters: the envy step ``delta`` and how much to record."""
@@ -64,8 +69,7 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", open_unit("delta", self.delta))
-        if self.trace_level not in TRACE_LEVELS:
-            raise ValidationError(f"unknown trace level {self.trace_level!r}")
+        _check_trace_level(self.trace_level)
 
 
 @dataclass
@@ -97,6 +101,9 @@ class Trace:
     phase1_iterations: int = 0
     phase2_iterations: int = 0
     cycle_rotations: int = 0
+
+    def __post_init__(self):
+        _check_trace_level(self.level)
 
     def snap(self, label: str, pieces: Sequence[Piece], gaps: Sequence[Interval],
              hats: Sequence[Fraction]) -> None:

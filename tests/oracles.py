@@ -9,8 +9,9 @@ twice.
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
-from cakecut import Interval, cut_query, eval_query, is_bifurcating
+from cakecut import Interval, ValidationError, cut_query, eval_query, is_bifurcating
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -194,3 +195,54 @@ def phase_invariants(pieces, valuations, delta, phase):
         hat(v, pieces[i]) == 1 or hat(v, p) < 1 or worth(v, p) < QUARTER + step
         or naive_value(v, p.hi, 1) > HALF - step for i, v, p in others)))
     return [(f"{phase}:{name}", passed) for name, passed in verdicts]
+
+
+def brute_force_min_envy(instance, resolution):
+    """Exhaustive reference: minimum max-envy over grid-cut allocations.
+
+    Tries every way to cut the cake at n-1 points drawn from the grid
+    {k/resolution} union all valuation breakpoints, assigning the resulting
+    intervals to agents in every order, and returns the best (envy, pieces)
+    found.  Prefix masses are ``naive_value`` sums.  Exact but exponential --
+    fine for n <= 3 at resolution ~100; n = 4 is only practical at coarse
+    resolutions (<= 25 or so).
+    """
+    if instance.n > 4:
+        raise ValidationError("exhaustive search supports at most 4 agents")
+    if resolution < 1:
+        raise ValidationError(f"resolution must be >= 1, got {resolution}")
+    n = instance.n
+    vals = instance.agent_valuations()
+    grid = {Fraction(k, resolution) for k in range(resolution + 1)}
+    for v in vals:
+        grid.update(v.breakpoints)
+    points = sorted(grid)
+    pref = [{g: naive_value(v, 0, g) for g in points} for v in vals]
+
+    def assemble(bounds, perm):
+        out = []
+        for i in range(n):
+            a, b = bounds[perm[i]], bounds[perm[i] + 1]
+            out.append(Interval(a, b) if a < b else None)
+        return out
+
+    best = best_bounds = best_perm = None
+    for cuts in combinations_with_replacement(points, n - 1):
+        bounds = (Fraction(0),) + cuts + (Fraction(1),)
+        piece_vals = [
+            [pref[i][b] - pref[i][a] for a, b in zip(bounds, bounds[1:])]
+            for i in range(n)
+        ]
+        for perm in permutations(range(n)):
+            worst = Fraction(0)
+            for i in range(n):
+                own = piece_vals[i][perm[i]]
+                for j in range(n):
+                    e = piece_vals[i][perm[j]] - own
+                    if e > worst:
+                        worst = e
+            if best is None or worst < best:
+                best, best_bounds, best_perm = worst, bounds, perm
+                if worst == 0:
+                    return best, assemble(bounds, perm)
+    return best, assemble(best_bounds, best_perm)

@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cakecut import (Check, Instance, Interval, SolverConfig, ValidationError, Valuation,
-                     brute_force_min_envy, build_report, check_mult_bounds,
-                     check_phase_invariants, check_theorem_bounds, interval,
-                     solve, solve_bounded, solve_mult)
+                     build_report, check_mult_bounds, check_phase_invariants,
+                     check_theorem_bounds, interval, solve, solve_bounded, solve_mult)
 from cakecut.audit import (check_iteration_bounds, check_structure, check_trace_monotonicity,
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
 from cakecut.solver import Snapshot, Trace, TraceEvent
-from oracles import phase_invariants
+from oracles import brute_force_min_envy, phase_invariants
 from strategies import partial_allocations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])

@@ -1,14 +1,20 @@
 """Exercise the command-line interface through main() and the module entry."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cakecut import Interval, SolverConfig, solve, solve_bounded, solve_mult
-from cakecut.cli import EXIT_AUDIT, EXIT_INVALID, EXIT_OK, main
+from cakecut.cake import ValidationError
+from cakecut.cli import EXIT_AUDIT, EXIT_INVALID, EXIT_OK, integer, main
 from cakecut.serialize import (allocation_from_obj, allocation_to_obj, dumps_canonical,
                                instance_from_obj)
 
@@ -240,7 +246,7 @@ def test_solvers_take_no_trace_level(tmp_path, capsys, command, param):
     (["bounded", "inst.json"], "required: --epsilon"),
     (["audit", "inst.json"], "required: allocation"),
     (["gen", "--n", "2", "--family", "nope"], "invalid choice: 'nope'"),
-    (["bench", "--count", "1", "--family", "nope"], "invalid choice: 'nope'"),
+    (["bench", "--count", "1"], "invalid choice: 'bench'"),
     (["gen", "--n", "2", "--seeds", "1"], "unrecognized arguments: --seeds 1"),
 ])
 def test_usage_errors_exit_2_with_one_json_line(tmp_path, capsys, args, phrase):
@@ -250,7 +256,7 @@ def test_usage_errors_exit_2_with_one_json_line(tmp_path, capsys, args, phrase):
     assert phrase in usage_error(args, capsys, out)
 
 
-@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["bench", "-h"]])
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["audit", "-h"]])
 def test_help_prints_usage_and_exits_0(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(args)
@@ -298,68 +304,105 @@ def test_outputs_default_into_outdir_env(tmp_path, capsys, monkeypatch):
     assert str(tmp_path) in out
 
 
-def test_bench_report_aggregates_runs(tmp_path, capsys):
-    report = tmp_path / "bench.json"
-    code, out, _ = run(["bench", "--count", "6", "--n", "2..3", "--delta", "1/10",
-                        "--seed", "2", "--oracle-resolution", "24",
-                        "-o", str(report)], capsys)
-    assert code == EXIT_OK
-    assert "0 violations" in out
-    obj = json.loads(report.read_text())
-    assert obj["count"] == 6 and obj["violations"] == 0
-    assert [r["n"] for r in obj["runs"]] == [2, 3, 2, 3, 2, 3]
-    assert all("oracle_min_envy" in r for r in obj["runs"])
-    assert obj["total_eval_queries"] > 0
-
-
-def test_bench_rejects_bad_range(capsys):
-    for n in ["8..2", "\u0662..\uff13", " 2..3", "2..3_0"]:
-        code, _, err = run(["bench", "--count", "1", "--n", n], capsys)
-        assert code == EXIT_INVALID, n
-        assert "range" in json.loads(err)["message"], n
-
-
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_bench_rejects_a_count_below_one(tmp_path, capsys, count):
-    report = tmp_path / "bench.json"
-    code, _, err = run(["bench", "--count", count, "--n", "2", "-o", str(report)], capsys)
-    assert code == EXIT_INVALID
-    assert "--count" in json.loads(err)["message"]
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("n", ["3", "4"])
-def test_bench_rejects_a_negative_oracle_resolution(tmp_path, capsys, n):
-    # n = 3 used to fail only after its first solve, n = 4 not at all
-    report = tmp_path / "bench.json"
-    message = usage_error(["bench", "--count", "1", "--n", n, "--oracle-resolution", "-5",
-                           "-o", str(report)], capsys, report)
-    assert "--oracle-resolution" in message
-
-
-def test_bench_oracle_resolution_zero_is_off(tmp_path, capsys):
-    report = tmp_path / "bench.json"
-    code, _, _ = run(["bench", "--count", "1", "--n", "2", "--oracle-resolution", "0",
-                      "-o", str(report)], capsys)
-    assert code == EXIT_OK
-    assert "oracle_min_envy" not in json.loads(report.read_text())["runs"][0]
-
-
 @pytest.mark.parametrize("args", [
     ["gen", "--n", "\u0663"],
     ["gen", "--n", "2", "--seed", " 1_0"],
     ["gen", "--n", "2", "--max-pieces", "\uff18"],
     ["gen", "--n", "2", "--distinct", "2 "],
     ["gen", "--n", "2", "--grid", "4_8"],
-    ["bench", "--count", "+1"],
-    ["bench", "--count", "1", "--seed", "1_0"],
-    ["bench", "--count", "1", "--max-pieces", " 8"],
-    ["bench", "--count", "1", "--oracle-resolution", "\u0661\u0662"],
 ], ids=lambda args: args[0] + args[-2])
 def test_integer_options_take_ascii_digits_only(tmp_path, capsys, args):
     out = tmp_path / "out.json"
     message = usage_error(args + ["-o", str(out)], capsys, out)
     assert f"argument {args[-2]}: invalid integer value" in message
+
+
+def test_integer_refuses_a_plus_sign():
+    with pytest.raises(ValidationError, match="not an integer: '\\+1'"):
+        integer("+1")
+
+
+# Nodes a malformed file may hold where a fraction string, a list or an object belongs.
+ODD_NODES = ["1/0", "-1", "1/2", "x", None, True, 0, 1.5, [], {}, "9" * 5000, "1/" + "9" * 5000]
+FILE_KEYS = ["agents", "valuation", "valuations", "breakpoints", "densities", "pieces",
+             "agent", "lo", "hi", "delta", "c", "epsilon", "audit", "zz"]
+
+
+def json_paths(node, path=()):
+    """The key/index path of every node of a JSON tree, the root first."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(obj, path, op, value, key):
+    """A copy of ``obj`` with the node at ``path`` replaced, deleted or appended to.
+
+    Appending adds ``value`` to a list or under ``key`` to an object; a scalar
+    is replaced instead, and so is the root when it would be deleted.
+    """
+    holder = [copy.deepcopy(obj)]
+    parent, last = holder, 0
+    for step in path:
+        parent, last = parent[last], step
+    node, value = parent[last], copy.deepcopy(value)
+    if op == "append" and isinstance(node, list):
+        node.append(value)
+    elif op == "append" and isinstance(node, dict):
+        node[key] = value
+    elif op == "delete" and path:
+        del parent[last]
+    else:
+        parent[last] = value
+    return holder[0]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A scratch dir, a generated n=3 instance and its allocation as parsed JSON, and their paths."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst, alloc = root / "inst.json", root / "alloc.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "--n", "3", "--seed", "5", "-o", str(inst)]) == EXIT_OK
+        assert main(["solve", str(inst), "--delta", "1/10", "-o", str(alloc)]) == EXIT_OK
+    files = {"instance": json.loads(inst.read_text()), "allocation": json.loads(alloc.read_text())}
+    # the embedded audit is never read back: mutate it only as a whole
+    paths = {name: [p for p in json_paths(obj) if p[:1] != ("audit",) or len(p) == 1]
+             for name, obj in files.items()}
+    return root, files, paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_malformed_file_gives_a_traceback(cli_files, data):
+    root, originals, paths = cli_files
+    command = data.draw(st.sampled_from(["audit", "solve", "solve-mult", "bounded"]))
+    target = data.draw(st.sampled_from(["instance", "allocation"] if command == "audit"
+                                       else ["instance"]))
+    files = dict(originals)
+    files[target] = mutate(originals[target], data.draw(st.sampled_from(paths[target])),
+                           data.draw(st.sampled_from(["replace", "delete", "append"])),
+                           data.draw(st.sampled_from(ODD_NODES)),
+                           data.draw(st.sampled_from(FILE_KEYS)))
+    inst, alloc, out = root / "m-inst.json", root / "m-alloc.json", root / "m-out.json"
+    inst.write_text(json.dumps(files["instance"]))
+    alloc.write_text(json.dumps(files["allocation"]))
+    args = {"audit": ["audit", str(inst), str(alloc)],
+            "solve": ["solve", str(inst), "--delta", "1/10", "-o", str(out)],
+            "solve-mult": ["solve-mult", str(inst), "--c", "1/10", "-o", str(out)],
+            "bounded": ["bounded", str(inst), "--epsilon", "1/4", "-o", str(out)]}[command]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(args)
+    assert code in (EXIT_OK, EXIT_AUDIT, EXIT_INVALID)
+    lines = err.getvalue().splitlines()
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        [line] = lines
+        assert json.loads(line)["error"] in ("audit", "validation")
 
 
 def test_module_entry_point(tmp_path):

@@ -71,6 +71,15 @@ def test_config_validates_delta_and_trace_level():
             solve_mult(two_agent_instance(), DELTA, trace_level=level)
 
 
+def test_trace_records_every_level_it_accepts_and_rejects_others():
+    # a misspelt level used to be accepted and then record no events
+    with pytest.raises(ValidationError, match="unknown trace level 'ful'"):
+        Trace(level="ful")
+    trace = Trace(level="full")
+    phase_one(generate(GeneratorSpec(n=4, seed=1)), SolverConfig(delta=DELTA), None, trace)
+    assert len(trace.events) == trace.phase1_iterations > 0
+
+
 def test_config_keeps_delta_exact():
     # a float delta used as given would put float cut points on the decision
     # path, and two uniform agents would then fail bifurcating_margin
