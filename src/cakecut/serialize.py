@@ -168,6 +168,8 @@ def read_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"{path} holds a number too long to read: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path} nests JSON too deeply") from None
 

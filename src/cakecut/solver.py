@@ -138,8 +138,8 @@ class GapPool:
 
     Agents sharing a valuation name the same prefixes, so each gap lists its
     candidates by valuation id and queries once per id.  Answers the pool
-    already holds are not asked again: each id's ``Median`` (cut(0, 1/2) and
-    the mass right of it) is asked at most once per solve, the mass of
+    already holds are not asked again: each id's ``Median`` (cut(0, 1/2)) is
+    asked at most once per solve, the mass of
     [0, lo] that the gap's hat value asked goes on to ``hat_cut``, and the
     hat value ``hat_cut`` returns with its point decides ties and becomes
     the winner's hat value, so an award asks nothing itself.  A gap is

@@ -161,15 +161,27 @@ def test_validation_failures_exit_2_with_json_diagnostics(tmp_path, capsys):
     code, _, err = run(["solve", str(inst), "--delta", "2"], capsys)
     assert code == EXIT_INVALID
 
-    # malformed files that used to crash with a traceback (exit 1)
+    # malformed files that used to crash with a traceback (exit 1); a bare
+    # integer of 5,000 digits passes CPython's int-digit limit, and stands
+    # where a string or an agent number belongs, so it is refused either way
     too_long = {"agents": [{"valuation": "u"}],
                 "valuations": {"u": {"breakpoints": ["0", "1" * 4400], "densities": ["1"]}}}
-    for name, data in [("latin1.json", '{"agents": "\xe9"}'.encode("latin-1")),
-                       ("deep.json", b"[" * 100_000 + b"]" * 100_000),
-                       ("digits.json", json.dumps(too_long).encode())]:
+    alloc = tmp_path / "alloc.json"
+    assert run(["solve", str(inst), "--delta", "1/10", "-o", str(alloc)], capsys)[0] == EXIT_OK
+    big = "1" * 5000
+    for name, data, command in [
+            ("latin1.json", '{"agents": "\xe9"}'.encode("latin-1"), "solve"),
+            ("deep.json", b"[" * 100_000 + b"]" * 100_000, "solve"),
+            ("digits.json", json.dumps(too_long).encode(), "solve"),
+            ("int_instance.json", json.dumps({**UNIFORM_4, "agents": [{"valuation": "BIG"}]})
+             .replace('"BIG"', big).encode(), "solve"),
+            ("int_agent.json", alloc.read_text().replace('"agent": 1', '"agent": ' + big, 1)
+             .encode(), "audit")]:
         bad = tmp_path / name
         bad.write_bytes(data)
-        code, _, err = run(["solve", str(bad), "--delta", "1/10"], capsys)
+        args = ["solve", str(bad), "--delta", "1/10"] if command == "solve" else \
+            ["audit", str(inst), str(bad)]
+        code, _, err = run(args, capsys)
         assert code == EXIT_INVALID, name
         assert json.loads(err)["error"] == "validation", name
 

@@ -38,8 +38,8 @@ def test_short_circuit_query_count():
     is_bifurcating(UNIFORM, interval(0, "1/8"), counter)  # fails the 1/4 test
     assert counter.eval_count == 1
     counter = QueryCounter()
-    is_bifurcating(UNIFORM, interval("1/4", "3/4"), counter)
-    assert counter.eval_count == 3
+    is_bifurcating(UNIFORM, interval("1/4", "3/4"), counter)  # [3/4, 1] is 1 - 1/4 - 1/2
+    assert counter.eval_count == 2
 
 
 @given(valuations(), lattice_points(), lattice_points())
@@ -85,6 +85,9 @@ def test_hat_layer_refuses_floats():
                   (Fraction(0), 1.5), (Fraction(0), Decimal("1.5")), (Fraction(0), "1/2")]:
         with pytest.raises(ValidationError):
             hat_cut(UNIFORM, x, nu)
+    # with [0, 9/10] held, a target above [x, 1] asks no query at all
+    with pytest.raises(ValidationError):
+        hat_cut(UNIFORM, 0.9, Fraction(1, 2), prefix=Fraction(9, 10))
 
 
 def test_hat_cut_above_one_is_unreachable():
@@ -123,10 +126,10 @@ def test_hat_cut_agrees_with_grid_scan(v, x, nu):
 @given(valuations(), lattice_points(),
        st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20)))
 def test_hat_cut_uses_constant_queries(v, x, nu):
-    """At most 8 plain queries regardless of how jagged the density is."""
+    """At most 1 eval and 3 cut queries regardless of how jagged the density is."""
     counter = QueryCounter()
     hat_cut(v, x, nu, counter)
-    assert counter.eval_count + counter.cut_count <= 8
+    assert counter.eval_count <= 1 and counter.cut_count <= 3
 
 
 class RecordedQueries:
@@ -152,9 +155,16 @@ TARGETS = st.one_of(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)
 @given(st.data(), TARGETS)
 def test_hat_cut_returns_the_literal_point_and_its_hat(data, nu):
     """The point is the literal cut's, the hat value is that of [x, point], and
-    no question is asked twice."""
+    no question is asked twice.
+
+    Besides kernel points, x may be cut(0, 1/2) or the last point whose prefix
+    is still 1/2, and nu may be exactly the mass of [x, 1]: the boundaries of
+    the prefix tests that stand in for queries."""
     v = data.draw(mixed_valuations())
-    x = data.draw(kernel_points(v))
+    median = v.leftmost_reach(Fraction(0), Fraction(1, 2))
+    x = data.draw(st.one_of(kernel_points(v), st.sampled_from([median, v.next_mass(median)])))
+    if v.prefix(x) < 1 and data.draw(st.booleans()):
+        nu = 1 - v.prefix(x)
     with pytest.MonkeyPatch.context() as monkeypatch:
         record = RecordedQueries(monkeypatch)
         claim = hat_cut(v, x, nu)
@@ -174,7 +184,7 @@ def test_reused_answers_change_no_answer_and_are_not_asked_again(data, nu):
     x = data.draw(kernel_points(v))
     fresh, reused = QueryCounter(), QueryCounter()
     median = Median(v)
-    median.tail()
+    median.point()
     prefix = v.prefix(x)
     assert hat_cut(v, x, nu, reused, prefix, median) == hat_cut(v, x, nu, fresh)
     assert reused.eval_count <= fresh.eval_count and reused.cut_count <= fresh.cut_count
@@ -190,8 +200,7 @@ def test_hat_with_prefix_hands_back_the_prefix_it_asked(v, data):
     # the prefix is asked exactly when [lo, hi] is worth 1/4 or more
     assert (prefix is None) == (v.value(lo, hi) < Fraction(1, 4))
     assert prefix is None or prefix == v.prefix(lo)
-    asked_tail = prefix is not None and prefix <= Fraction(1, 2)
-    assert counter.eval_count == 1 + (prefix is not None) + asked_tail
+    assert counter.eval_count == 1 + (prefix is not None)
 
 
 def test_a_median_asks_each_question_once():
@@ -199,5 +208,5 @@ def test_a_median_asks_each_question_once():
     median = Median(UNIFORM, counter)
     assert (counter.eval_count, counter.cut_count) == (0, 0)
     for _ in range(3):
-        assert median.tail() == median.point() == Fraction(1, 2)
-    assert (counter.eval_count, counter.cut_count) == (1, 1)
+        assert median.point() == Fraction(1, 2)
+    assert (counter.eval_count, counter.cut_count) == (0, 1)

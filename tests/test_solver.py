@@ -426,50 +426,50 @@ def test_solve_mult_reports_ratio_checks():
 # moves any of these counts or bytes must say why.
 C = Fraction(1, 10)
 PINNED_RUNS = [
-    (2, "random", 1000, "c", C, (824, 290, 84, 20, 0),
-     "0728efd0e080920fad4ab584027f77e30d4abbca53cb5d24479a498d0e567941"),
-    (3, "identical", 1001, "c", C, (717, 278, 147, 0, 0),
-     "79fec7f9505cf170d66d93ddc0fc5b1b4487257ee7b381e42c2f9ae4361811de"),
-    (4, "blocks", 1002, "c", C, (3198, 1608, 324, 240, 0),
-     "5ab22bbe05fc0a76792b0306a5554ab793c0a328b98eacdd5b15104551ed25f4"),
-    (5, "grouped", 1003, "c", C, (2657, 1005, 306, 0, 0),
-     "34c33ae953dc6c9e2085bd8dbb9966c51b99f71a8b3f759f269ca8d7efc11e3f"),
-    (6, "random", 1004, "c", C, (10942, 4047, 403, 0, 0),
-     "5eac12deb9796789a8d6651fa48443a0ea01f6c76ac33a172f3e9ce0e6fb098b"),
-    (2, "identical", 1005, "c", C, (425, 157, 83, 0, 0),
-     "f66f22838beef0045917fd16c92119de4acf946135df5e1739fa7fa36f315c8e"),
-    (3, "blocks", 1006, "c", C, (2016, 906, 183, 180, 0),
-     "f2c457d446b913ef6da665846536fe2c9cf5c8b2bc3e913f1665b57708e54482"),
-    (4, "grouped", 1007, "c", C, (1787, 681, 186, 0, 0),
-     "e4c14b0ee962c54793d1711f88ad0106eb80e1faa1625639ac9b6b6ac1720ba4"),
-    (5, "random", 1008, "c", C, (6251, 2240, 296, 0, 0),
-     "869bfabd5eed0cedf2987db292740b623a2cd70f75b1f8bb927c1382648cf2c0"),
-    (6, "identical", 1009, "c", C, (1455, 559, 297, 0, 0),
-     "b25da0bed9fd5a30f3f2831106f705e1f4d4296ec553682dea7b64811796da55"),
-    (2, "blocks", 1010, "c", C, (994, 400, 80, 120, 0),
-     "dd5c22c93fea6ade3be92e0b924152fb253821245e146c52283f46765274d691"),
-    (3, "grouped", 1011, "c", C, (1440, 537, 147, 0, 0),
-     "4a66cd619fa72eb64832334c5353cd0b568d4447c395c37e2a603b9a3362a8d2"),
-    (4, "random", 1012, "c", C, (3843, 1376, 256, 0, 0),
-     "60f0c52fb6c30c79404c9745a54def4b4e3994693ad6bbf9bb0c7c086f2f05b1"),
-    (5, "identical", 1013, "c", C, (1333, 549, 292, 0, 0),
-     "126a5666bed8969b23b46b17bdefc503b58a6b4d89f2443600bf0c135f32d712"),
-    (6, "blocks", 1014, "c", C, (7050, 3612, 726, 360, 0),
-     "883d9357168b1ea01edb37be3eff24341d5878f0ac8f264612a82d069bb11a6c"),
-    (2, "grouped", 1015, "c", C, (924, 375, 74, 47, 0),
-     "b192b49bfc371e6a9b95e3269b0dcebaab78c63f3b419909d6c332dfb7f9f939"),
-    (3, "random", 1016, "c", C, (2217, 766, 170, 0, 0),
-     "3b5087da07da9467e54e0d059104a07f80284476c4828c6abeda91cb36938a2e"),
-    (4, "identical", 1017, "c", C, (1024, 410, 217, 0, 0),
-     "2f5703b7fa025857ce93efd2f564cad9e60282a3721b44c3c3f6792e797a4701"),
-    (5, "blocks", 1018, "c", C, (5006, 2500, 500, 300, 0),
-     "d4d1cf589aef8c2821c8431366a8afb1f22fe98f8df22f1da521797d40ce1581"),
-    (6, "grouped", 1019, "c", C, (2857, 1114, 317, 0, 0),
-     "3f32eff1be7391d0113f89135e9c3bede7a6949c3f6ed778c47f80bb84c73b33"),
-    (50, "grouped", 7, "delta", DELTA, (4547, 1554, 524, 0, 0),
-     "208c86dce9d33532e806dae34c20939475eeec375ea36509b6c534a6fe9dfb3c"),
-    (30, "blocks", 7, "delta", Fraction(1, 20), (39870, 22560, 4530, 450, 0),
-     "a0c51dd9199f37956bab1bd278a3a2bad0f4cd23bd8edd20b2777fd116b4968d"),
+    (2, "random", 1000, "c", C, (403, 290, 84, 20, 0),
+     "2d2cef4ae990e772ccc61272e73b6e5a533c482004fe3ceb27b57fd056f97265"),
+    (3, "identical", 1001, "c", C, (331, 278, 147, 0, 0),
+     "2cb6c3c0a4d929500b791b3d7b09f24787c7431a7745e6e8cd44f68ebfa8a8b4"),
+    (4, "blocks", 1002, "c", C, (1977, 1608, 324, 240, 0),
+     "c8185b5ffbfd5bc1737e6d1ff65e6faf954a87c509dd378c9a4792706d3b79b4"),
+    (5, "grouped", 1003, "c", C, (1363, 1005, 306, 0, 0),
+     "65e058fcf65e7ccd52863a51c1dd28487afea0cc04344af4baf6bda236b16eb6"),
+    (6, "random", 1004, "c", C, (5697, 4047, 403, 0, 0),
+     "378f9b7486bc7da787edeadcc0ae2d21a6390b4ff17a52917584256d915c63d6"),
+    (2, "identical", 1005, "c", C, (193, 157, 83, 0, 0),
+     "d981220269cf70d99ed91f9d917502acaa9677cef6274a708fcebd6665634792"),
+    (3, "blocks", 1006, "c", C, (1221, 906, 183, 180, 0),
+     "3f11653d09fdbefa56ea7150dbe6a8b42bcd3ef5a78c4acd2eee899033386c8c"),
+    (4, "grouped", 1007, "c", C, (922, 681, 186, 0, 0),
+     "2437a406e143aa23d121b908d3404a4a593f7fea87a986edae688f7156fdd9fb"),
+    (5, "random", 1008, "c", C, (3380, 2240, 296, 0, 0),
+     "0b918f203b5e7b857475d0ff82f3886bc2d3beadeb88225f85587c4f83bbd631"),
+    (6, "identical", 1009, "c", C, (774, 559, 297, 0, 0),
+     "7994285591310165a8303deb1aac8c64114c83d4a6060570c1e3c9e7f4442020"),
+    (2, "blocks", 1010, "c", C, (592, 400, 80, 120, 0),
+     "a1ed5e4535ed6b02aa0f759741fca3d37fdee994c938c9199660d3ccf755dd1d"),
+    (3, "grouped", 1011, "c", C, (716, 537, 147, 0, 0),
+     "326d72aa2cb13afc87ce9ac3a10d426b921492582668520402c6b53ec0cbc403"),
+    (4, "random", 1012, "c", C, (1972, 1376, 256, 0, 0),
+     "ae5d0db1d25663fb7e13be25a82489466bbdec7ad3def285fde3b78c958db4f7"),
+    (5, "identical", 1013, "c", C, (636, 549, 292, 0, 0),
+     "485cd101953eb16dd24a7c3789af2f6aad3716720c80c40c4274a42e4016587e"),
+    (6, "blocks", 1014, "c", C, (4380, 3612, 726, 360, 0),
+     "1a3a846590166eb25f0f4f78ffed2f4496a2d377bf069ff739a89236ae637b1e"),
+    (2, "grouped", 1015, "c", C, (512, 375, 74, 47, 0),
+     "d83483c2a21b286b0bbbc1fc8358ebd309dbd629d93e5043840c5ae16a39094d"),
+    (3, "random", 1016, "c", C, (1072, 766, 170, 0, 0),
+     "a671ef438dc3d8b4c18550bed5e7ae408113d97edbef85881604be469ecccad5"),
+    (4, "identical", 1017, "c", C, (477, 410, 217, 0, 0),
+     "17c6d9cf8034f5d7bc2ff04cc81838864153069ca92950216547bffa207a8c2a"),
+    (5, "blocks", 1018, "c", C, (3098, 2500, 500, 300, 0),
+     "206dc04b93482fa9fdbe96a826a26fdf106f10734ee967eacd286b7a2eae9a14"),
+    (6, "grouped", 1019, "c", C, (1505, 1114, 317, 0, 0),
+     "cf2253aa050ef6b4fa46cda4cd6706c2d8de5732378bcc805960190c029e306e"),
+    (50, "grouped", 7, "delta", DELTA, (2492, 1554, 524, 0, 0),
+     "f49a46a0b66a0dbcff186233cab750ceadd7f0cc045b818d47f5b38558b16acb"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (25620, 22560, 4530, 450, 0),
+     "81f332293be4881e38ba4ba298559620be24911258e1c648a2a246923df514a3"),
 ]
 
 
@@ -494,13 +494,15 @@ class QueryLog:
     them, and wraps ``phase_one``, ``phase_two``, ``GapPool.award``,
     ``GapPool._best_claim`` and ``hat_cut`` in named spans.  Each record is
     ``(spans, hat_cut call number or None, valuation, question, counted)``
-    where ``question`` is ``(kind, first argument, second argument)``.
+    where ``question`` is ``(kind, first argument, second argument)``, and
+    ``starts[k]`` is the point x that hat_cut call k cut from.
     """
 
     def __init__(self, monkeypatch):
         self.records = []
         self.spans = []
         self.calls = 0
+        self.starts = {}
         for name, module in list(sys.modules.items()):
             if name.startswith("cakecut") and module is not None:
                 for kind in ("eval_query", "cut_query"):
@@ -523,6 +525,7 @@ class QueryLog:
         def spanned(*args, **kwargs):
             if name == "hat_cut":
                 self.calls += 1
+                self.starts[self.calls] = args[1]
                 self.spans.append(self.calls)
             self.spans.append(name)
             try:
@@ -538,8 +541,8 @@ class QueryLog:
                          ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in PINNED_RUNS])
 def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key, value, counts,
                                                digest):
-    """cut(0, 1/2) and eval(cut(0, 1/2), 1) once per valuation, no repeat in a hat cut,
-    nothing asked by ``award`` itself, and no query of either phase left uncounted."""
+    """cut(0, 1/2) once per valuation, no eval in a hat cut but eval(0, x), no repeat in a
+    hat cut, nothing asked by ``award`` itself, and no query of either phase left uncounted."""
     instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
     log = QueryLog(monkeypatch)
     if key == "c":
@@ -548,12 +551,10 @@ def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key
         solve(instance, SolverConfig(delta=value))
     half = Fraction(1, 2)
     for v in {id(v): v for v in instance.valuations.values()}.values():
-        median = v.leftmost_reach(Fraction(0), half)
-        asked = [(call, q) for _, call, w, q, counted in log.records if counted and w is v]
-        assert [q for _, q in asked].count(("cut_query", 0, half)) <= 1
-        # a gap or piece ending at the median asks eval(median, 1) for its own
-        # hat value; the hat cuts share one answer
-        assert [q for call, q in asked if call is not None].count(("eval_query", median, 1)) <= 1
+        asked = [q for _, _, w, q, counted in log.records if counted and w is v]
+        assert asked.count(("cut_query", 0, half)) <= 1
+    assert all(q == ("eval_query", 0, log.starts[call])
+               for _, call, _, q, _ in log.records if call is not None and q[0] == "eval_query")
     per_call = {}
     for spans, call, v, question, _ in log.records:
         if call is not None:
