@@ -38,7 +38,6 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_INVALID = 2
 OUTDIR_ENV = "CAKECUT_OUTDIR"
-FAMILY_CHOICES = FAMILIES + ("disjoint-blocks",)
 
 
 def _diagnose(kind: str, message: str, **extra) -> None:
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--n", type=integer, required=True, help="number of agents")
-    p.add_argument("--family", default="random", choices=FAMILY_CHOICES)
+    p.add_argument("--family", default="random", choices=FAMILIES)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--max-pieces", type=integer, default=8,
                    help="max constant-density segments per valuation")

@@ -37,8 +37,6 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"need at least one agent, got n={self.n}")
-        if self.family == "disjoint-blocks":  # long-form spelling of the same family
-            object.__setattr__(self, "family", "blocks")
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.max_pieces < 1:

@@ -9,17 +9,18 @@ other connected piece lies entirely inside one side.
 value otherwise ("the hat value").  The hat value of the empty piece is 0,
 and a non-bifurcating interval is always worth strictly less than 1/2, so the
 two branches never collide.  ``hat_cut`` answers cut queries against the hat
-value with at most one eval and three cut queries.
+value with at most one eval and one cut query.
 
 A valuation's total mass is exactly 1 and it has no atoms, so some answers
-need no query: the mass of [y, 1] is 1 minus that of [0, y], and a cut whose
-target is reachable reaches it exactly.  A caller that asks many hat
-questions of one valuation also reuses answers it already holds:
-``hat_with_prefix`` hands back the mass of [0, x] along with a hat value,
-``hat_cut`` takes that mass and a ``Median`` (the valuation's cut(0, 1/2),
-asked once), and ``hat_cut`` returns the hat value of the prefix it names,
-which it knows without a further query.  Every threshold test compares
-integers: ``f >= 1/4`` is ``4 * f.numerator >= f.denominator``.
+need no query: the mass of [y, 1] is 1 minus that of [0, y], a cut whose
+target is reachable reaches it exactly, and once the mass of [0, x] is known
+to be at most 1/2, [x, y] is bifurcating exactly when it reaches one
+threshold.  A caller that asks many hat questions of one valuation also
+reuses answers it already holds: ``hat_with_prefix`` hands back the mass of
+[0, x] along with a hat value, ``hat_cut`` takes that mass, and ``hat_cut``
+returns the hat value of the prefix it names, which it knows without a
+further query.  Every threshold test compares integers: ``f >= 1/4`` is
+``4 * f.numerator >= f.denominator``.
 """
 
 from __future__ import annotations
@@ -70,60 +71,31 @@ def hat_with_prefix(v: Valuation, lo: Fraction, hi: Fraction,
     return value, prefix
 
 
-class Median:
-    """The point cut(0, 1/2) of one valuation, asked once when first needed.
-
-    The answer is fixed for the valuation, so it is counted on ``counter``
-    the first time only.  The mass right of it needs no query: [0, m] is
-    worth exactly 1/2, so [m, 1] is worth exactly 1/2 too.
-    """
-
-    __slots__ = ("v", "counter", "_point")
-
-    def __init__(self, v: Valuation, counter: Optional[QueryCounter] = None):
-        self.v, self.counter = v, counter
-        self._point: Optional[Fraction] = None
-
-    def point(self) -> Fraction:
-        if self._point is None:
-            self._point = cut_query(self.v, ZERO, HALF, self.counter)
-        return self._point
-
-
 def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
-            counter: Optional[QueryCounter] = None, prefix: Optional[Fraction] = None,
-            median: Optional[Median] = None) -> Optional[tuple[Fraction, Fraction]]:
+            counter: Optional[QueryCounter] = None,
+            prefix: Optional[Fraction] = None) -> Optional[tuple[Fraction, Fraction]]:
     """Leftmost y in [x, 1] with hat value of [x, y] at least nu, and that hat value.
 
     Returns ``(y, hat value of [x, y])``, or None when no such y exists.
-    ``prefix`` is the mass of [0, x] and ``median`` the valuation's
-    ``Median``, when the caller already holds them; a question already
-    answered is never asked again within one call.  With neither, the call
-    asks at most one eval, eval(0, x), and three cuts.  Write rho for the
-    mass of [0, x] and m for cut(0, 1/2).
+    ``prefix`` is the mass of [0, x] when the caller already holds it; else
+    it is asked, so a call asks at most one eval, eval(0, x), and one cut.
+    Write rho for the mass of [0, x].
 
-    Two candidate points are identified and the earlier one wins:
+    * rho > 1/2: no [x, y] is bifurcating, so the hat value is the plain
+      value.  The answer is cut(x, nu) with hat value nu when [x, 1], worth
+      1 - rho < 1/2, holds nu (the measure is atomless, so the cut reaches
+      nu exactly); otherwise no y qualifies.
+    * rho <= 1/2: let t = max(1/4, 1/2 - rho).  [x, y] is bifurcating
+      exactly when it is worth at least t: it must be worth 1/4, and [y, 1],
+      worth 1 - rho - [x, y], is at most 1/2 exactly when [x, y] >= 1/2 -
+      rho.  Since t <= 1/2 <= 1 - rho, cut(x, t) reaches t exactly and is
+      the leftmost bifurcating end (when rho < 1/4 it is cut(0, 1/2)).
+      Every shorter [x, y] is worth less than t, and its hat value is that
+      plain value.  So when nu < t the answer is cut(x, nu), which lies
+      before cut(x, t), with hat value nu; otherwise it is cut(x, t) with
+      hat value 1 (a tie nu == t included).
 
-    * y1 = cut(x, nu), the plain cut point.  It exists exactly when
-      [x, 1], worth 1 - rho, holds nu; the cut is then asked, and [x, y1] is
-      worth exactly nu because the measure is atomless.  Otherwise no plain
-      value reaches nu and the cut is not asked.
-    * y2 = max(cut(x, 1/4), m), the leftmost point making [x, y2]
-      bifurcating.  Considered only when rho <= 1/2, and then always
-      bifurcating: [x, 1] holds 1 - rho >= 1/2, so the quarter cut reaches
-      1/4 exactly and [x, y2] is worth at least 1/4; [0, m] is worth exactly
-      1/2 and y2 >= m, so [y2, 1] is worth at most 1/2.
-
-    Targets above 1 are unreachable (hat values never exceed 1).  For a
-    target of exactly 1 only y2 matters: an interval of full value is itself
-    bifurcating, so the plain cut can never come earlier.
-
-    The returned hat value needs no query.  When the named point is y2 (a tie
-    y1 == y2 included), [x, y2] is bifurcating and its hat is 1.  Otherwise
-    the point is y1, and [x, y1] is not bifurcating: every bifurcating
-    [x, y] needs rho <= 1/2, is worth 1/4, so y >= cut(x, 1/4), and leaves
-    at most 1/2 right of y, so y >= m; hence y >= y2 > y1.  So the hat of
-    [x, y1] is its plain value, nu.
+    Targets above 1 are unreachable: hat values never exceed 1.
     """
     require_rational("x", x)  # with the prefix held, no query may see x
     require_rational("nu", nu)
@@ -132,19 +104,12 @@ def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
         raise ValueError(f"hat_cut needs nu > 0, got {nu}")
     if p > q:
         return None
-    if median is None:
-        median = Median(v, counter)
     if prefix is None:
         prefix = eval_query(v, ZERO, x, counter)
     a, b = prefix.numerator, prefix.denominator
-    y1 = None
-    if p < q and (b - a) * q >= p * b:
-        y1 = median.point() if x == 0 and 2 * p == q else cut_query(v, x, nu, counter)
     if 2 * a > b:
-        return None if y1 is None else (y1, nu)
-    # y1 exists here when nu = 1/4: [x, 1] holds at least 1/2.
-    quarter = y1 if 4 * p == q else cut_query(v, x, QUARTER, counter)
-    y2 = max(quarter, median.point())
-    if y1 is not None and y1 < y2:
-        return y1, nu
-    return y2, ONE
+        return (cut_query(v, x, nu, counter), nu) if (b - a) * q >= p * b else None
+    # nu < t means nu < 1/4 or nu < 1/2 - rho.
+    if 4 * p < q or 2 * p * b < q * (b - 2 * a):
+        return cut_query(v, x, nu, counter), nu
+    return cut_query(v, x, QUARTER if 4 * a >= b else HALF - prefix, counter), ONE

@@ -48,7 +48,7 @@ from .cake import (
     open_unit,
 )
 from .allocation import EnvyGraph, unassigned_gaps
-from .hatvalue import Median, hat_cut, hat_eval, hat_with_prefix
+from .hatvalue import hat_cut, hat_eval, hat_with_prefix
 
 log = logging.getLogger(__name__)
 
@@ -138,17 +138,16 @@ class GapPool:
 
     Agents sharing a valuation name the same prefixes, so each gap lists its
     candidates by valuation id and queries once per id.  Answers the pool
-    already holds are not asked again: each id's ``Median`` (cut(0, 1/2)) is
-    asked at most once per solve, the mass of
-    [0, lo] that the gap's hat value asked goes on to ``hat_cut``, and the
-    hat value ``hat_cut`` returns with its point decides ties and becomes
-    the winner's hat value, so an award asks nothing itself.  A gap is
-    seeded only from valuations whose support box meets it.  Boxes are the
-    support endpoints scaled by the lcm of their denominators, so the test
-    is on integers and exact: a support that only touches a gap at an
-    endpoint is never seeded.  The ids that still have members are kept in
-    ``starts``, sorted by ``(support_lo, id)``, so a reseed reads the ids whose
-    support starts inside the gap as one slice.
+    already holds are not asked again: the mass of [0, lo] that the gap's hat
+    value asked goes on to ``hat_cut``, and the hat value ``hat_cut`` returns
+    with its point decides ties and becomes the winner's hat value, so an
+    award asks nothing itself.  A gap is seeded only from valuations whose
+    support box meets it.  Boxes are the support endpoints scaled by the lcm
+    of their denominators, so the test is on integers and exact: a support
+    that only touches a gap at an endpoint is never seeded.  The ids that
+    still have members are kept in ``starts``, sorted by ``(support_lo, id)``,
+    so a reseed reads the ids whose support starts inside the gap as one
+    slice.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -163,7 +162,6 @@ class GapPool:
         self.members: dict[str, list[int]] = {}
         for i, vid in enumerate(self.vids):
             self.members.setdefault(vid, []).append(i)
-        self.medians = {vid: Median(self.valuations[vid], counter) for vid in self.members}
         supports = {vid: (self.valuations[vid].support_lo, self.valuations[vid].support_hi)
                     for vid in self.members}
         self.scale = lcm(*(x.denominator for box in supports.values() for x in box))
@@ -251,7 +249,7 @@ class GapPool:
                 g.order.remove((start, vid))
                 continue
             rep = min(live, key=lambda i: (hat_own[i], i))
-            claim = hat_cut(v, g.lo, hat_own[rep] + step, self.counter, prefix, self.medians[vid])
+            claim = hat_cut(v, g.lo, hat_own[rep] + step, self.counter, prefix)
             if claim is None or claim[0] > g.hi:
                 point = None if claim is None else claim[0]
                 raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "

@@ -51,9 +51,9 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
     assert set(obj["valuations"]) >= {a["valuation"] for a in obj["agents"]}
 
 
-def test_gen_accepts_long_family_spelling(tmp_path, capsys):
+def test_gen_writes_a_blocks_instance(tmp_path, capsys):
     path = tmp_path / "blocks.json"
-    code, _, _ = run(["gen", "--n", "3", "--family", "disjoint-blocks",
+    code, _, _ = run(["gen", "--n", "3", "--family", "blocks",
                       "-o", str(path)], capsys)
     assert code == EXIT_OK and path.exists()
 

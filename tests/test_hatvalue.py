@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cakecut.hatvalue
 from cakecut import (Interval, QueryCounter, ValidationError, Valuation, hat_cut, hat_eval,
                      interval, is_bifurcating)
-from cakecut.hatvalue import Median, hat_with_prefix
+from cakecut.hatvalue import hat_with_prefix
 from oracles import grid_hat_cut, literal_hat_cut, naive_hat
 from strategies import kernel_points, lattice_points, mixed_valuations, valuations
 
@@ -98,7 +98,7 @@ def test_hat_cut_target_one_needs_bifurcation():
     # from 0 the uniform agent can never leave <= 1/2 on no side; the
     # earliest bifurcating prefix ends where [0,y] holds 1/2
     assert hat_cut(UNIFORM, Fraction(0), Fraction(1)) == (Fraction(1, 2), 1)
-    # starting past the midpoint, [0,x] > 1/2 kills the y2 route
+    # starting past the midpoint, [0,x] > 1/2 leaves no bifurcating [x,y]
     assert hat_cut(UNIFORM, Fraction(3, 4), Fraction(1)) is None
 
 
@@ -126,10 +126,10 @@ def test_hat_cut_agrees_with_grid_scan(v, x, nu):
 @given(valuations(), lattice_points(),
        st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20)))
 def test_hat_cut_uses_constant_queries(v, x, nu):
-    """At most 1 eval and 3 cut queries regardless of how jagged the density is."""
+    """At most 1 eval and 1 cut query regardless of how jagged the density is."""
     counter = QueryCounter()
     hat_cut(v, x, nu, counter)
-    assert counter.eval_count <= 1 and counter.cut_count <= 3
+    assert counter.eval_count <= 1 and counter.cut_count <= 1
 
 
 class RecordedQueries:
@@ -179,16 +179,12 @@ def test_hat_cut_returns_the_literal_point_and_its_hat(data, nu):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), TARGETS)
 def test_reused_answers_change_no_answer_and_are_not_asked_again(data, nu):
-    """Given the prefix mass and a Median, hat_cut answers the same and asks a subset."""
+    """Given the prefix mass, hat_cut answers the same and asks a subset."""
     v = data.draw(mixed_valuations())
     x = data.draw(kernel_points(v))
     fresh, reused = QueryCounter(), QueryCounter()
-    median = Median(v)
-    median.point()
-    prefix = v.prefix(x)
-    assert hat_cut(v, x, nu, reused, prefix, median) == hat_cut(v, x, nu, fresh)
+    assert hat_cut(v, x, nu, reused, v.prefix(x)) == hat_cut(v, x, nu, fresh)
     assert reused.eval_count <= fresh.eval_count and reused.cut_count <= fresh.cut_count
-    assert median.point() == v.leftmost_reach(Fraction(0), Fraction(1, 2))
 
 
 @given(mixed_valuations(), st.data())
@@ -203,10 +199,36 @@ def test_hat_with_prefix_hands_back_the_prefix_it_asked(v, data):
     assert counter.eval_count == 1 + (prefix is not None)
 
 
-def test_a_median_asks_each_question_once():
-    counter = QueryCounter()
-    median = Median(UNIFORM, counter)
-    assert (counter.eval_count, counter.cut_count) == (0, 0)
-    for _ in range(3):
-        assert median.point() == Fraction(1, 2)
-    assert (counter.eval_count, counter.cut_count) == (0, 1)
+# [0, 1/4] holds 1/2, [1/4, 1/2] nothing and [1/2, 1] the other 1/2
+BOUNDARY = Valuation([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+                     [Fraction(2), Fraction(0), Fraction(1)])
+# (name, x, rho = mass of [0, x]) where rho meets the thresholds hat_cut tests
+BOUNDARY_POINTS = [
+    ("rho=0", Fraction(0), Fraction(0)),
+    ("rho=1/4", Fraction(1, 8), Fraction(1, 4)),
+    ("rho=1/2 at the median", Fraction(1, 4), Fraction(1, 2)),
+    ("rho=1/2 past a zero-density cell", Fraction(1, 2), Fraction(1, 2)),
+    ("rho just above 1/2", Fraction(51, 100), Fraction(51, 100)),
+]
+BOUNDARY_TARGETS = [("1/4", lambda rho: Fraction(1, 4)),
+                    ("1/2-rho", lambda rho: Fraction(1, 2) - rho),
+                    ("1-rho", lambda rho: 1 - rho),
+                    ("1", lambda rho: Fraction(1))]
+BOUNDARY_CASES = [pytest.param(x, rho, nu, id=f"{name}, nu={target}")
+                  for name, x, rho in BOUNDARY_POINTS
+                  for target, at in BOUNDARY_TARGETS
+                  if (nu := at(rho)) > 0]
+
+
+@pytest.mark.parametrize("x, rho, nu", BOUNDARY_CASES)
+def test_hat_cut_at_each_threshold_is_the_literal_point_with_one_cut(x, rho, nu):
+    """On each threshold hat_cut tests, the literal point and its hat value, for one cut."""
+    assert BOUNDARY.prefix(x) == rho
+    assert BOUNDARY.leftmost_reach(Fraction(0), Fraction(1, 2)) == Fraction(1, 4)
+    point = literal_hat_cut(BOUNDARY, x, nu)
+    for prefix, evals in [(None, 1), (rho, 0)]:
+        counter = QueryCounter()
+        claim = hat_cut(BOUNDARY, x, nu, counter, prefix)
+        assert claim == (None if point is None
+                         else (point, hat_eval(BOUNDARY, Interval(x, point))))
+        assert (counter.eval_count, counter.cut_count) == (evals, claim is not None)
