@@ -7,7 +7,9 @@ of distinct valuations d satisfies d <= epsilon*n - 1 there are at most n
 segments, so handing each agent (in index order) its favorite remaining
 segment allocates everything.  An agent's piece is then within epsilon of
 any other piece it can see -- envy never exceeds epsilon -- at the price of
-possibly empty pieces and a query count that grows like n/epsilon.
+possibly empty pieces.  The grids ask exactly d*(ceil(1/epsilon) - 1) cuts,
+and with S <= n segments the hand-out asks S*(S+1)/2 evals: each agent that
+takes a segment evals every segment still left.
 """
 
 from __future__ import annotations

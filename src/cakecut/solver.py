@@ -140,7 +140,7 @@ class GapPool:
     candidates by valuation id and queries once per id.  Answers the pool
     already holds are not asked again: the mass of [0, lo] that the gap's hat
     value asked goes on to ``hat_cut``, and the hat value ``hat_cut`` returns
-    with its point decides ties and becomes the winner's hat value, so an
+    with its point names the winner and becomes its hat value, so an
     award asks nothing itself.  A gap is seeded only from valuations whose
     support box meets it.  Boxes are the support endpoints scaled by the lcm
     of their denominators, so the test is on integers and exact: a support
@@ -227,12 +227,17 @@ class GapPool:
         Walks the ids in mass-start order: once some id names a prefix
         endpoint, any id whose mass begins at or beyond it cannot name a
         strictly shorter one, so it is skipped without queries.  An id's
-        candidates are its members (agents below hat value 1) whose raised
-        target is within their hat value for the whole gap; an id with none
-        leaves ``g.order``.  It cannot qualify again before the gap is
-        reseeded: in the growth phase hat values of pieces only rise, and
-        carving only lowers the gap's hat value (plain values shrink, and an
-        interval containing a bifurcating one is bifurcating itself).
+        candidates are its members (agents below hat value 1, by index) at
+        hat value ``room = reach - step`` or less, reach being the gap's hat
+        value.  The id qualifies when ``rep``, its first member of least hat
+        value, does; else it leaves ``g.order`` and cannot qualify again
+        before the gap is reseeded: in the growth phase hat values of pieces
+        only rise, and carving only lowers the gap's hat value (plain values
+        shrink, and an interval containing a bifurcating one is bifurcating
+        itself).  ``hat_cut`` answers rep's target nu <= reach with hat value
+        nu < 1/2 (nu < t <= 1/2, or nu <= 1 - rho < 1/2), met by exactly the
+        members at rep's hat value, rep first, or with hat value 1, met by
+        every candidate as reach <= 1, and then the first candidate wins.
         """
         hat_own, step = self.hat_own, self.step
         best: Optional[tuple[Fraction, int, Fraction]] = None
@@ -241,26 +246,20 @@ class GapPool:
                 break  # mass starts too far right to beat the current prefix
             v = self.valuations[vid]
             members = self.members[vid]
-            live = []
             if members:  # an id whose agents are all full asks nothing
                 reach, prefix = hat_with_prefix(v, g.lo, g.hi, self.counter)
-                live = [i for i in members if hat_own[i] + step <= reach]
-            if not live:
+                room = reach - step
+                rep = min(members, key=hat_own.__getitem__)
+            if not members or hat_own[rep] > room:
                 g.order.remove((start, vid))
                 continue
-            rep = min(live, key=lambda i: (hat_own[i], i))
             claim = hat_cut(v, g.lo, hat_own[rep] + step, self.counter, prefix)
             if claim is None or claim[0] > g.hi:
                 point = None if claim is None else claim[0]
                 raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
                                    f"not a point of the gap {g.interval()}")
             r, at_r = claim
-            if len(live) == 1:
-                winner = rep
-            else:
-                # Every candidate whose target the prefix [lo, r] meets stops
-                # at r as well; the lowest index among them wins ties.
-                winner = min(i for i in live if hat_own[i] + step <= at_r)
+            winner = rep if at_r < 1 else next(i for i in members if hat_own[i] <= room)
             # An agent appears under one id only, so (r, winner) never ties.
             if best is None or (r, winner, at_r) < best:
                 best = (r, winner, at_r)

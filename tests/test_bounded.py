@@ -1,5 +1,6 @@
 """Grid-based allocation for instances with few distinct valuations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,11 @@ def test_grouped_instances_meet_the_envy_bound(seed, d, n):
     assert worst_envy(pieces, inst.agent_valuations()) <= eps
     # whole cake handed out even though some agents may get nothing
     assert sum(p.width for p in pieces if p is not None) == 1
+    # each id's grid asks ceil(1/eps) - 1 cuts; all k segments are handed
+    # out, and the agent handed the j-th evals the k - j + 1 still left
+    k = sum(p is not None for p in pieces)
+    assert report.cut_count == d * (math.ceil(1 / eps) - 1)
+    assert report.eval_count == k * (k + 1) // 2
 
 
 def test_first_agents_take_their_favorites():

@@ -313,6 +313,20 @@ class TestGapPool:
         # [0, 7/20] leaves 13/20 on its right, so its hat value is its plain value
         assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0, Fraction(7, 20))
 
+    @pytest.mark.parametrize("hats, claim", [
+        # rep, index 1 (least hat, then least index), wins on its plain target 1/5
+        (("1/5", "1/10", "1/10"), ("1/5", 1, "1/5")),
+        # rep's target 1/2 is bifurcating: the first index at most room = 9/10 wins
+        (("9/20", "2/5", "2/5"), ("1/2", 0, "1")),
+        # index 0 is above room, so the hat-1 prefix skips it
+        (("19/20", "2/5", "9/20"), ("1/2", 1, "1")),
+    ])
+    def test_the_claim_names_rep_or_the_first_candidate_at_hat_value_one(self, hats, claim):
+        pool = GapPool(Instance({"u": self.UNIFORM}, ["u"] * 3), Fraction(1, 10))
+        pool.hat_own = [Fraction(h) for h in hats]
+        r, winner, at_r = claim
+        assert pool._best_claim(pool.gaps[0]) == (Fraction(r), winner, Fraction(at_r))
+
     def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
         valuations = {
             "all": self.UNIFORM,
