@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .allocation import check_pieces, hat_matrix, unassigned_gaps
+from .allocation import check_pieces, unassigned_gaps
 from .cake import (ONE, ZERO, Piece, QueryCounter, ValidationError, Valuation, float_error,
                    open_unit)
-from .hatvalue import HALF, QUARTER
+from .hatvalue import HALF, QUARTER, hat_eval
 
 if TYPE_CHECKING:  # the solver imports this module
     from .solver import Trace
@@ -36,7 +36,8 @@ class Check:
 class AuditReport:
     """Everything recomputed about one allocation.
 
-    ``values[i][j]`` is agent i's exact value for agent j's piece;
+    ``values[i][j]`` is agent i's exact value for agent j's piece (agents
+    sharing a Valuation object share one row list);
     ``min_ratio`` is None when no agent assigns positive value to another's
     piece (the ratio is vacuously unbounded).  ``params`` holds the
     parameters the checks were derived from, as validated ``Fraction``s.
@@ -61,24 +62,70 @@ class AuditReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _per_valuation(valuations: Sequence[Valuation], row):
+    """``row(v)`` for each agent's valuation, computed once per Valuation object.
+
+    Agents that share a valuation (an instance's agents with one id do) share
+    one row object, so later passes can key their work by row identity.
+    """
+    rows = {}
+    for v in valuations:
+        if id(v) not in rows:
+            rows[id(v)] = row(v)
+    return [rows[id(v)] for v in valuations]
+
+
 def values_matrix(pieces: Sequence[Piece], valuations: Sequence[Valuation]) -> list[list[Fraction]]:
-    return [[v.value_of(p) for p in pieces] for v in valuations]
+    """``values[i][j]`` is agent i's value for agent j's piece, one row per valuation."""
+    return _per_valuation(valuations, lambda v: [v.value_of(p) for p in pieces])
 
 
-def _pairs(values: Sequence[Sequence[Fraction]]):
-    """(i, j, v_i(own), v_i(j's piece)) for every ordered pair i != j, row by row."""
-    return ((i, j, row[i], other) for i, row in enumerate(values)
-            for j, other in enumerate(row) if j != i)
+def _best_others(values: Sequence[Sequence[Fraction]]) -> list[Optional[Fraction]]:
+    """Each agent's largest value for another agent's piece; None when there is none.
+
+    That is the row's maximum unless it sits in the agent's own column, and
+    then the runner-up.  Both are found once per row object.  Envy, half
+    value and ratio each move one way as the other piece's value grows, so
+    an agent's verdict on every other piece follows from this one.
+    """
+    tops = {}
+    best = []
+    for i, row in enumerate(values):
+        if id(row) not in tops:
+            k = max(range(len(row)), key=row.__getitem__)
+            tops[id(row)] = k, row[k], max(row[:k] + row[k + 1:], default=None)
+        k, top, runner_up = tops[id(row)]
+        best.append(runner_up if k == i else top)
+    return best
+
+
+def _first_failure(values, best, fails, say) -> Optional[str]:
+    """``say(i, j, own, other)`` for the first pair i != j, row by row, that ``fails``.
+
+    ``fails(own, other)`` may only turn true as ``other`` grows, so only an
+    agent that fails at its best other piece has its row scanned.
+    """
+    for i, (row, other) in enumerate(zip(values, best)):
+        if other is not None and fails(row[i], other):
+            j = next(j for j, x in enumerate(row) if j != i and fails(row[i], x))
+            return say(i, j, row[i], row[j])
+    return None
+
+
+def _own_and_best(values: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """(v_i(own), v_i(best other piece)) for each agent that sees another piece."""
+    return [(row[i], other) for i, (row, other) in enumerate(zip(values, _best_others(values)))
+            if other is not None]
 
 
 def max_envy_of(values: Sequence[Sequence[Fraction]]) -> Fraction:
     """Largest amount any agent prefers another's piece over its own (>= 0)."""
-    return max([ZERO, *(other - own for _, _, own, other in _pairs(values))])
+    return max([ZERO, *(other - own for own, other in _own_and_best(values))])
 
 
 def min_ratio_of(values: Sequence[Sequence[Fraction]]) -> Optional[Fraction]:
     """Smallest v_i(own)/v_i(other) over pairs where the other piece has value."""
-    return min((own / other for _, _, own, other in _pairs(values) if other > 0), default=None)
+    return min((own / other for own, other in _own_and_best(values) if other > 0), default=None)
 
 
 def _agent(i: int) -> str:
@@ -102,11 +149,15 @@ def check_structure(pieces: Sequence[Piece]) -> list[Check]:
 def check_theorem_bounds(values: Sequence[Sequence[Fraction]], delta: Fraction) -> list[Check]:
     """The connected solver's additive-envy and half-value bounds, on the value matrix."""
     n = len(values)
-    bound = QUARTER + 2 * delta / n
-    envy = next((f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}"
-                 for i, j, own, other in _pairs(values) if other - own > bound), None)
-    half = next((f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}"
-                 for i, j, own, other in _pairs(values) if own < other / 2 - delta / n), None)
+    step = delta / n
+    bound = QUARTER + 2 * step
+    best = _best_others(values)
+    envy = _first_failure(values, best, lambda own, other: other - own > bound,
+                          lambda i, j, own, other:
+                          f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}")
+    half = _first_failure(values, best, lambda own, other: own < other / 2 - step,
+                          lambda i, j, own, other:
+                          f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}")
     return [Check("additive_envy_bound", envy is None, envy),
             Check("half_value_bound", half is None, half)]
 
@@ -114,8 +165,10 @@ def check_theorem_bounds(values: Sequence[Sequence[Fraction]], delta: Fraction) 
 def check_mult_bounds(values: Sequence[Sequence[Fraction]], c: Fraction) -> list[Check]:
     """Multiplicative-mode guarantees on the value matrix: pairwise ratio and the 1/(4n) floor."""
     n = len(values)
-    ratio = next((f"(2+{c}) * {own} < {other} for {_agent(i)} vs {_agent(j)}"
-                  for i, j, own, other in _pairs(values) if (2 + c) * own < other), None)
+    scale = 2 + c
+    ratio = _first_failure(values, _best_others(values), lambda own, other: scale * own < other,
+                           lambda i, j, own, other:
+                           f"(2+{c}) * {own} < {other} for {_agent(i)} vs {_agent(j)}")
     floor = Fraction(1, 4 * n)
     low = next((f"{_agent(i)} holds {values[i][i]} < 1/{4 * n}"
                 for i in range(n) if values[i][i] < floor), None)
@@ -127,8 +180,7 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
     """Invariants that must hold in the partial allocation at a phase boundary.
 
     ``phase`` tags the check names ("phase1_end" or "phase2_end").  All five
-    families are recomputed from scratch, in one pass per agent over the hat
-    matrices of the pieces and of the gaps:
+    families are recomputed from scratch:
 
     * no_remaining_claim  -- no agent hat-values any gap at or above its own
       hat value plus delta/n (the growth loop's exit condition; phase 1 only);
@@ -140,44 +192,63 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
       either v_i(P_j) < 1/4 + delta/n or the cake right of P_j is worth more
       than 1/2 - delta/n to i.
 
-    A hat value below 1 is the plain value, so plain values are looked up
-    only for intervals that are bifurcating (hat value 1).  Each witness is
-    the first failure agent by agent, except that a remaining claim names
-    the leftmost gap still claimed.
+    Every row depends only on the valuation, so it is computed once per
+    Valuation object: the hat values and the worth of every piece and gap,
+    where a hat value below 1 is the plain value, so plain values are looked
+    up only for bifurcating intervals, and the pieces whose margin is thin.
+    Each check moves one way in a piece's or gap's worth, so an agent is
+    then judged from the largest entry it can see, and only an agent that
+    fails scans its rows.  Each witness is the first failure agent by agent,
+    except that a remaining claim names the leftmost gap still claimed.
     """
     step = delta / len(valuations)
     gaps = unassigned_gaps(pieces)
-    piece_hats, gap_hats = hat_matrix(pieces, valuations), hat_matrix(gaps, valuations)
+
+    def rows(v: Valuation):
+        hats, gap_hats = [hat_eval(v, p) for p in pieces], [hat_eval(v, g) for g in gaps]
+        worth = [h if h < ONE else v.value_of(p) for p, h in zip(pieces, hats)]
+        gap_worth = [h if h < ONE else v.value_of(g) for g, h in zip(gaps, gap_hats)]
+        # (j, value right of P_j) when P_j is bifurcating for v yet worth
+        # 1/4 + delta/n with at most 1/2 - delta/n to its right.
+        thin = [(j, right) for j, (p, h, w) in enumerate(zip(pieces, hats, worth))
+                if h == ONE and w >= QUARTER + step and (right := v.value(p.hi, ONE)) <= HALF - step]
+        return (hats, gap_hats, worth, gap_worth, thin,
+                max(gap_hats, default=ZERO), max(gap_worth, default=ZERO))
+
+    table = _per_valuation(valuations, rows)
+    best = _best_others([t[2] for t in table])
     claims: list[tuple[int, int]] = []
     bad: dict[str, str] = {}
-    for i, v in enumerate(valuations):
-        own = piece_hats[i][i]
+    for i, (v, (hats, gap_hats, worth, gap_worth, thin, top_gap_hat, top_gap_worth), other) in \
+            enumerate(zip(valuations, table, best)):
+        own = hats[i]
         cap = own + step
-        claims += [(k, i) for k, h in enumerate(gap_hats[i]) if h >= cap]
-        for j, (p, h) in enumerate(zip(pieces, piece_hats[i])):
-            if j == i or p is None:
-                continue
-            worth = h if h < ONE else v.value_of(p)
-            if worth > cap:
-                bad.setdefault("piece_envy_cap",
-                               f"{_agent(i)} values {_agent(j)}'s piece at {worth} > {own} + {step}")
-            # A strict prefix [lo_j, y), y < hi_j, reaching the cap would mean
-            # agent i should have taken it; only a piece worth at least the cap
-            # can hold one (the own piece, skipped, is worth at most own < cap).
-            y = v.leftmost_reach(p.lo, cap) if worth >= cap else None
-            if y is not None and y < p.hi:
-                bad.setdefault("no_affordable_prefix", f"{_agent(i)} can reach {own} + {step} "
-                               f"by {y} inside {_agent(j)}'s piece {p}")
-            if own < ONE and h == ONE and worth >= QUARTER + step:
-                right = v.value(p.hi, ONE)
-                if right <= HALF - step:
-                    bad.setdefault("bifurcating_margin",
-                                   f"{_agent(j)}'s piece {p} is bifurcating for {_agent(i)} "
-                                   f"yet worth {worth} with only {right} to its right")
-        for gap, h in zip(gaps, gap_hats[i]):
-            worth = h if h < ONE else v.value_of(gap)
-            if worth > cap:
-                bad.setdefault("gap_envy_cap", f"{_agent(i)} values gap {gap} at {worth} > {own} + {step}")
+        if top_gap_hat >= cap:
+            claims.append((next(k for k, h in enumerate(gap_hats) if h >= cap), i))
+        if other is not None and other > cap:
+            j = next(j for j, w in enumerate(worth) if j != i and w > cap)
+            bad.setdefault("piece_envy_cap",
+                           f"{_agent(i)} values {_agent(j)}'s piece at {worth[j]} > {own} + {step}")
+        # A strict prefix [lo_j, y), y < hi_j, reaching the cap would mean
+        # agent i should have taken it; only a piece worth at least the cap
+        # can hold one (the own piece, skipped, is worth at most own < cap).
+        if other is not None and other >= cap and "no_affordable_prefix" not in bad:
+            for j, (p, w) in enumerate(zip(pieces, worth)):
+                y = v.leftmost_reach(p.lo, cap) if j != i and w >= cap else None
+                if y is not None and y < p.hi:
+                    bad["no_affordable_prefix"] = (f"{_agent(i)} can reach {own} + {step} "
+                                                   f"by {y} inside {_agent(j)}'s piece {p}")
+                    break
+        margin = next((t for t in thin if t[0] != i), None) if own < ONE else None
+        if margin is not None:
+            j, right = margin
+            bad.setdefault("bifurcating_margin",
+                           f"{_agent(j)}'s piece {pieces[j]} is bifurcating for {_agent(i)} "
+                           f"yet worth {worth[j]} with only {right} to its right")
+        if top_gap_worth > cap:
+            k = next(k for k, w in enumerate(gap_worth) if w > cap)
+            bad.setdefault("gap_envy_cap",
+                           f"{_agent(i)} values gap {gaps[k]} at {gap_worth[k]} > {own} + {step}")
     if claims:
         k, i = min(claims)
         bad["no_remaining_claim"] = f"{_agent(i)} still claims gap {gaps[k]}"
@@ -226,9 +297,10 @@ def build_report(pieces: Sequence[Piece], valuations: Sequence[Valuation], *,
                  trace: Optional[Trace] = None) -> AuditReport:
     """Audit an allocation against the parameters it was solved with.
 
-    The exact value matrix is built once; the envy/ratio summaries and every
-    allocation check read it.  The report lists the caller's run-time
-    ``checks`` first, then what each key of ``params`` implies:
+    The exact value matrix is built once, one row per valuation; the
+    envy/ratio summaries and every allocation check read each agent's best
+    other piece from it.  The report lists the caller's run-time ``checks``
+    first, then what each key of ``params`` implies:
 
     * always -- pieces_disjoint, complete_cover;
     * ``delta`` (c/8 when only ``c`` is given) -- additive_envy_bound,

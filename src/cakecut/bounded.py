@@ -7,9 +7,10 @@ of distinct valuations d satisfies d <= epsilon*n - 1 there are at most n
 segments, so handing each agent (in index order) its favorite remaining
 segment allocates everything.  An agent's piece is then within epsilon of
 any other piece it can see -- envy never exceeds epsilon -- at the price of
-possibly empty pieces.  The grids ask exactly d*(ceil(1/epsilon) - 1) cuts,
-and with S <= n segments the hand-out asks S*(S+1)/2 evals: each agent that
-takes a segment evals every segment still left.
+possibly empty pieces.  The grids ask exactly d*(ceil(1/epsilon) - 1) cuts.
+Agents sharing an id rank the segments alike, so the hand-out asks each
+id's evals once, when the id's first agent chooses: one per segment still
+left then.  With S <= n segments that is at most d*S evals in all.
 """
 
 from __future__ import annotations
@@ -79,12 +80,16 @@ def solve_bounded(instance: Instance, epsilon: Fraction) -> tuple[list[Piece], A
 
     valuations = instance.agent_valuations()
     pieces: list[Piece] = [None] * n
-    remaining = list(segments)
-    for i, v in enumerate(valuations):
+    remaining = list(range(len(segments)))
+    worth: dict[str, dict[int, Fraction]] = {}  # segment index -> value, per id
+    for i, (vid, v) in enumerate(zip(instance.agent_ids, valuations)):
         if not remaining:
             break
-        best = max(remaining, key=lambda s: eval_query(v, s.lo, s.hi, counter))
-        pieces[i] = best
+        if vid not in worth:
+            worth[vid] = {k: eval_query(v, segments[k].lo, segments[k].hi, counter)
+                          for k in remaining}
+        best = max(remaining, key=worth[vid].__getitem__)
+        pieces[i] = segments[best]
         remaining.remove(best)
 
     report = build_report(pieces, valuations, params={"epsilon": epsilon},

@@ -54,7 +54,9 @@ def require_rational(name: str, x) -> None:
 
 
 def _exact(name: str, x) -> Fraction:
-    """``x`` as a Fraction; ValidationError for a float."""
+    """``x`` as a Fraction, itself when it is one; ValidationError for a float."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise float_error(name, x)
     return Fraction(x)

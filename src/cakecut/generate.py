@@ -50,23 +50,20 @@ class GeneratorSpec:
 def _random_valuation(rng: random.Random, max_pieces: int, grid: int) -> Valuation:
     """Integer weights over random lattice breakpoints, normalized to mass 1."""
     k = min(rng.randint(1, max_pieces), grid)
-    cuts = sorted(rng.sample(range(1, grid), k - 1))
-    breakpoints = [Fraction(0)] + [Fraction(c, grid) for c in cuts] + [Fraction(1)]
+    cuts = [0, *sorted(rng.sample(range(1, grid), k - 1)), grid]
     weights = [rng.randint(0, 9) for _ in range(k)]
     if not any(weights):
         weights[rng.randrange(k)] = 1
-    mass = sum(w * (b - a) for w, a, b in zip(weights, breakpoints, breakpoints[1:]))
-    densities = [Fraction(w) / mass for w in weights]
-    return Valuation(breakpoints, densities)
+    # grid times the mass, summed on the integer lattice
+    mass = sum(w * (b - a) for w, a, b in zip(weights, cuts, cuts[1:]))
+    return Valuation([Fraction(c, grid) for c in cuts], [Fraction(w * grid, mass) for w in weights])
 
 
 def _block_valuation(i: int, n: int) -> Valuation:
     """Uniform density n on the block [i/n, (i+1)/n], zero elsewhere."""
-    lo, hi = Fraction(i, n), Fraction(i + 1, n)
-    breakpoints = sorted({Fraction(0), lo, hi, Fraction(1)})
-    densities = [Fraction(n) if lo <= a and b <= hi else Fraction(0)
-                 for a, b in zip(breakpoints, breakpoints[1:])]
-    return Valuation(breakpoints, densities)
+    cuts = sorted({0, i, i + 1, n})
+    return Valuation([Fraction(c, n) for c in cuts],
+                     [Fraction(n if a == i else 0) for a in cuts[:-1]])
 
 
 def generate(spec: GeneratorSpec) -> Instance:

@@ -43,7 +43,7 @@ def parse_fraction(text) -> Fraction:
 
 
 def format_fraction(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def dumps_canonical(obj) -> str:

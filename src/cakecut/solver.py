@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .audit import AuditReport, build_report, check_phase_invariants, loop_budget
+from .audit import AuditReport, Check, build_report, check_phase_invariants, loop_budget
 from .cake import (
     ONE,
     ZERO,
@@ -439,10 +439,15 @@ def solve(instance: Instance, config: SolverConfig,
     counter = QueryCounter()
     trace = Trace(level=config.trace_level)
 
-    partial = phase_one(instance, config, counter, trace)
-    checks = check_phase_invariants(partial, valuations, config.delta, "phase1_end")
-    partial = phase_two(partial, instance, config, counter, trace)
-    checks += check_phase_invariants(partial, valuations, config.delta, "phase2_end")
+    grown = phase_one(instance, config, counter, trace)
+    checks = check_phase_invariants(grown, valuations, config.delta, "phase1_end")
+    partial = phase_two(grown, instance, config, counter, trace)
+    if partial == grown:
+        # The invariants depend only on the pieces: phase 2 repeats phase 1's verdicts.
+        checks += [Check("phase2_end:" + c.name.partition(":")[2], c.passed, c.witness)
+                   for c in checks if c.name != "phase1_end:no_remaining_claim"]
+    else:
+        checks += check_phase_invariants(partial, valuations, config.delta, "phase2_end")
     allocation = merge_final(partial)
     trace.snap("final", allocation, [],
                [hat_eval(v, p) for v, p in zip(valuations, allocation)])

@@ -1,17 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here but ``literal_hat_cut`` recomputes results from the raw
-(breakpoints, densities) data by direct summation or grid scanning -- no
+Everything here but the ``literal_*`` functions recomputes results from the
+raw (breakpoints, densities) data by direct summation or grid scanning -- no
 prefix sums, no binary search over mass, none of the package's shortcut
 logic -- so agreement is meaningful evidence rather than the same code run
-twice.
+twice.  The ``literal_*`` functions go through the package's queries: each
+is the plain transcription, one question per agent pair, that an optimised
+path must keep agreeing with.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from cakecut import Interval, ValidationError, cut_query, eval_query, is_bifurcating
+from cakecut import (Interval, ValidationError, cut_query, eval_query, hat_eval,
+                     is_bifurcating)
+from cakecut.allocation import unassigned_gaps
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -195,6 +199,97 @@ def phase_invariants(pieces, valuations, delta, phase):
         hat(v, pieces[i]) == 1 or hat(v, p) < 1 or worth(v, p) < QUARTER + step
         or naive_value(v, p.hi, 1) > HALF - step for i, v, p in others)))
     return [(f"{phase}:{name}", passed) for name, passed in verdicts]
+
+
+def _agent(i):
+    return f"agent {i + 1}"
+
+
+def _pairs(values):
+    """(i, j, v_i(own), v_i(j's piece)) for every ordered pair i != j, row by row."""
+    return ((i, j, row[i], other) for i, row in enumerate(values)
+            for j, other in enumerate(row) if j != i)
+
+
+def literal_values(pieces, valuations):
+    """The value matrix with one kernel question per agent pair."""
+    return [[v.value_of(p) for p in pieces] for v in valuations]
+
+
+def literal_max_envy(values):
+    return max([Fraction(0), *(other - own for _, _, own, other in _pairs(values))])
+
+
+def literal_min_ratio(values):
+    return min((own / other for _, _, own, other in _pairs(values) if other > 0), default=None)
+
+
+def literal_theorem_bounds(values, delta):
+    """(name, passed, witness) of the additive-envy and half-value bounds, over all n^2 pairs."""
+    n = len(values)
+    bound = QUARTER + 2 * delta / n
+    envy = next((f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}"
+                 for i, j, own, other in _pairs(values) if other - own > bound), None)
+    half = next((f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}"
+                 for i, j, own, other in _pairs(values) if own < other / 2 - delta / n), None)
+    return [("additive_envy_bound", envy is None, envy), ("half_value_bound", half is None, half)]
+
+
+def literal_mult_bounds(values, c):
+    """(name, passed, witness) of the pairwise ratio bound and the 1/(4n) floor."""
+    n = len(values)
+    ratio = next((f"(2+{c}) * {own} < {other} for {_agent(i)} vs {_agent(j)}"
+                  for i, j, own, other in _pairs(values) if (2 + c) * own < other), None)
+    low = next((f"{_agent(i)} holds {values[i][i]} < 1/{4 * n}"
+                for i in range(n) if values[i][i] < Fraction(1, 4 * n)), None)
+    return [("mult_ratio_bound", ratio is None, ratio), ("value_floor", low is None, low)]
+
+
+def literal_phase_invariants(pieces, valuations, delta, phase):
+    """(name, passed, witness) of each phase-boundary invariant, agent pair by agent pair.
+
+    The same checks and witnesses as ``cakecut.audit.check_phase_invariants``,
+    written as one pass per agent over full hat matrices, with every entry
+    asked afresh for every agent.
+    """
+    step = Fraction(delta) / len(valuations)
+    gaps = unassigned_gaps(pieces)
+    piece_hats = [[hat_eval(v, p) for p in pieces] for v in valuations]
+    gap_hats = [[hat_eval(v, g) for g in gaps] for v in valuations]
+    claims = []
+    bad = {}
+    for i, v in enumerate(valuations):
+        own = piece_hats[i][i]
+        cap = own + step
+        claims += [(k, i) for k, h in enumerate(gap_hats[i]) if h >= cap]
+        for j, (p, h) in enumerate(zip(pieces, piece_hats[i])):
+            if j == i or p is None:
+                continue
+            worth = h if h < 1 else v.value_of(p)
+            if worth > cap:
+                bad.setdefault("piece_envy_cap",
+                               f"{_agent(i)} values {_agent(j)}'s piece at {worth} > {own} + {step}")
+            y = v.leftmost_reach(p.lo, cap) if worth >= cap else None
+            if y is not None and y < p.hi:
+                bad.setdefault("no_affordable_prefix", f"{_agent(i)} can reach {own} + {step} "
+                               f"by {y} inside {_agent(j)}'s piece {p}")
+            if own < 1 and h == 1 and worth >= QUARTER + step:
+                right = v.value(p.hi, Fraction(1))
+                if right <= HALF - step:
+                    bad.setdefault("bifurcating_margin",
+                                   f"{_agent(j)}'s piece {p} is bifurcating for {_agent(i)} "
+                                   f"yet worth {worth} with only {right} to its right")
+        for gap, h in zip(gaps, gap_hats[i]):
+            worth = h if h < 1 else v.value_of(gap)
+            if worth > cap:
+                bad.setdefault("gap_envy_cap", f"{_agent(i)} values gap {gap} at {worth} > {own} + {step}")
+    if claims:
+        k, i = min(claims)
+        bad["no_remaining_claim"] = f"{_agent(i)} still claims gap {gaps[k]}"
+    names = ["piece_envy_cap", "gap_envy_cap", "no_affordable_prefix", "bifurcating_margin"]
+    if phase == "phase1_end":
+        names.insert(0, "no_remaining_claim")
+    return [(f"{phase}:{name}", name not in bad, bad.get(name)) for name in names]
 
 
 def brute_force_min_envy(instance, resolution):

@@ -109,3 +109,14 @@ def partial_allocations(draw, max_n=6, grid=GRID):
     for owner, piece in zip(owners, slots):
         pieces[owner] = piece
     return pieces, vals
+
+
+@st.composite
+def shared_allocations(draw, max_n=6):
+    """``partial_allocations``, with agents sharing Valuation objects as an id's agents do.
+
+    Agent k takes the valuation drawn for some agent at or before it, so
+    agent 0 keeps its own and any later agent may share.
+    """
+    pieces, vals = draw(partial_allocations(max_n=max_n))
+    return pieces, [vals[draw(st.integers(0, k))] for k in range(len(vals))]

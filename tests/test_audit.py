@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import cakecut.audit as audit
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cakecut import (Check, Instance, Interval, SolverConfig, ValidationError, Valuation,
@@ -19,8 +19,10 @@ from cakecut.audit import (check_iteration_bounds, check_structure, check_trace_
                            max_envy_of, min_ratio_of, values_matrix)
 from cakecut.cake import QueryCounter
 from cakecut.solver import Snapshot, Trace, TraceEvent
-from oracles import brute_force_min_envy, phase_invariants
-from strategies import partial_allocations
+from oracles import (brute_force_min_envy, literal_max_envy, literal_min_ratio,
+                     literal_mult_bounds, literal_phase_invariants, literal_theorem_bounds,
+                     literal_values, phase_invariants)
+from strategies import partial_allocations, shared_allocations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
 LEFTY = Valuation(["0", "1/2", "1"], ["2", "0"])
@@ -161,6 +163,42 @@ def test_phase_invariants_match_their_definitions(allocation, delta, phase):
     assert [(c.name, c.passed) for c in checks] == phase_invariants(pieces, valuations,
                                                                     delta, phase)
     assert all((c.witness is None) == c.passed for c in checks)
+
+
+# Each agent holds the piece it values most, 3/4 against 1/4: leaving out
+# its own column is what makes the minimum ratio 3 rather than 1.
+MOSTLY_LEFT = Valuation(["0", "1/2", "1"], ["3/2", "1/2"])
+MOSTLY_RIGHT = Valuation(["0", "1/2", "1"], ["1/2", "3/2"])
+BOTH_HOLD_THEIR_BEST = ([interval(0, "1/2"), interval("1/2", 1)], [MOSTLY_LEFT, MOSTLY_RIGHT])
+
+
+def _verdicts(checks):
+    return [(c.name, c.passed, c.witness) for c in checks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_allocations(), st.sampled_from([Fraction(1, 2), DELTA, Fraction(1, 80)]),
+       st.sampled_from([Fraction(1, 5), DELTA]))
+@example(BOTH_HOLD_THEIR_BEST, DELTA, DELTA)
+def test_the_audit_matches_the_literal_pair_scans(allocation, delta, c):
+    """Values, summaries, names, verdicts and witnesses equal the n^2 scans', failures included."""
+    pieces, valuations = allocation
+    values = values_matrix(pieces, valuations)
+    assert values == literal_values(pieces, valuations)
+    assert max_envy_of(values) == literal_max_envy(values)
+    assert min_ratio_of(values) == literal_min_ratio(values)
+    assert _verdicts(check_theorem_bounds(values, delta)) == literal_theorem_bounds(values, delta)
+    assert _verdicts(check_mult_bounds(values, c)) == literal_mult_bounds(values, c)
+    for phase in ("phase1_end", "phase2_end"):
+        assert _verdicts(check_phase_invariants(pieces, valuations, delta, phase)) == \
+            literal_phase_invariants(pieces, valuations, delta, phase)
+
+
+def test_an_agent_holding_its_best_piece_is_judged_by_the_next_best():
+    pieces, valuations = BOTH_HOLD_THEIR_BEST
+    values = values_matrix(pieces, valuations)
+    assert min_ratio_of(values) == 3
+    assert max_envy_of(values) == 0
 
 
 def test_trace_monotonicity_detects_a_drop():

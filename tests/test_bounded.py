@@ -70,10 +70,12 @@ def test_grouped_instances_meet_the_envy_bound(seed, d, n):
     # whole cake handed out even though some agents may get nothing
     assert sum(p.width for p in pieces if p is not None) == 1
     # each id's grid asks ceil(1/eps) - 1 cuts; all k segments are handed
-    # out, and the agent handed the j-th evals the k - j + 1 still left
+    # out, one per agent in index order, and each id evals the segments
+    # still left when its first agent chooses, once: at most d*k evals
     k = sum(p is not None for p in pieces)
     assert report.cut_count == d * (math.ceil(1 / eps) - 1)
-    assert report.eval_count == k * (k + 1) // 2
+    firsts = [inst.agent_ids.index(vid) for vid in inst.distinct_ids()]
+    assert report.eval_count == sum(max(k - f, 0) for f in firsts) <= d * k
 
 
 def test_first_agents_take_their_favorites():

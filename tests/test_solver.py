@@ -30,6 +30,11 @@ def two_agent_instance() -> Instance:
     return Instance({"a": left, "b": right}, ["a", "b"])
 
 
+def two_uniform_agents() -> Instance:
+    """Two agents sharing the uniform valuation: phase 1 leaves at most n gaps."""
+    return Instance({"u": Valuation(["0", "1"], ["1"])}, ["u", "u"])
+
+
 def test_two_complementary_agents_regression():
     """Pinned run: opposite half-cakes split at 5/8 after 12 + 15 iterations."""
     pieces, trace, report = solve(two_agent_instance(), SolverConfig(delta=DELTA))
@@ -219,6 +224,32 @@ def test_appending_loop_stops_at_its_budget(monkeypatch):
     assert {c.name for c in report.failures()} == {"complete_cover",
                                                    "appending_iterations_within_budget"}
     assert len(pieces) == inst.n
+
+
+def test_phase_two_invariants_are_rechecked_when_its_pieces_move(monkeypatch):
+    # phase 2's verdicts repeat phase 1's only for the same pieces: a phase 2
+    # that takes agent 1's piece away must fail the phase2_end envy caps,
+    # though the real phase 2 would append nothing here
+    real = cakecut.solver.phase_two
+    monkeypatch.setattr(cakecut.solver, "phase_two",
+                        lambda pieces, *args: [None, *real(pieces, *args)[1:]])
+    _, _, report = solve(two_uniform_agents(), SolverConfig(delta=DELTA))
+    failed = {c.name for c in report.failures()}
+    assert {"phase2_end:piece_envy_cap", "phase2_end:gap_envy_cap"} <= failed
+    assert not any(name.startswith("phase1_end") for name in failed)
+
+
+def test_a_phase_two_that_moves_nothing_repeats_phase_one_verdicts(monkeypatch):
+    phases = []
+    real = cakecut.solver.check_phase_invariants
+    monkeypatch.setattr(cakecut.solver, "check_phase_invariants",
+                        lambda *args: phases.append(args[3]) or real(*args))
+    _, trace, report = solve(two_uniform_agents(), SolverConfig(delta=DELTA))
+    assert trace.phase2_iterations == 0 and phases == ["phase1_end"]
+    verdicts = {phase: [(c.name.partition(":")[2], c.passed, c.witness) for c in report.checks
+                        if c.name.startswith(phase) and not c.name.endswith("no_remaining_claim")]
+                for phase in phases + ["phase2_end"]}
+    assert verdicts["phase2_end"] == verdicts["phase1_end"] != []
 
 
 @pytest.mark.parametrize("cut", ["short", "none"])
