@@ -77,9 +77,15 @@ def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
     """Leftmost y in [x, 1] with hat value of [x, y] at least nu, and that hat value.
 
     Returns ``(y, hat value of [x, y])``, or None when no such y exists.
-    ``prefix`` is the mass of [0, x] when the caller already holds it; else
-    it is asked, so a call asks at most one eval, eval(0, x), and one cut.
-    Write rho for the mass of [0, x].
+    ``prefix`` is the mass of [0, x] when the caller already holds it.  A
+    call asks at most one eval and one cut.  Write rho for the mass of
+    [0, x].
+
+    * nu < 1/4 with no prefix held: no [x, y] worth less than 1/4 is
+      bifurcating, whatever rho is, so the answer is y = cut(x, nu) with hat
+      value nu when [x, 1] holds nu, and None otherwise.  A cut answering
+      y < 1 proves that [x, 1] holds nu; only y = 1, a reach or a clamp,
+      asks eval(x, 1) to tell.  Otherwise rho is asked, as eval(0, x).
 
     * rho > 1/2: no [x, y] is bifurcating, so the hat value is the plain
       value.  The answer is cut(x, nu) with hat value nu when [x, 1], worth
@@ -105,6 +111,9 @@ def hat_cut(v: Valuation, x: Fraction, nu: Fraction,
     if p > q:
         return None
     if prefix is None:
+        if 4 * p < q:
+            y = cut_query(v, x, nu, counter)
+            return (y, nu) if y < ONE or eval_query(v, x, ONE, counter) >= nu else None
         prefix = eval_query(v, ZERO, x, counter)
     a, b = prefix.numerator, prefix.denominator
     if 2 * a > b:

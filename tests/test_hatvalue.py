@@ -146,6 +146,22 @@ class RecordedQueries:
             monkeypatch.setattr(cakecut.hatvalue, kind, recorded)
 
 
+@pytest.mark.parametrize("x, nu, claim, asked", [
+    # the cut lands inside the cake: it proves [x, 1] holds nu, no eval
+    ("0", "1/5", ("1/5", "1/5"), [("cut_query", "0", "1/5")]),
+    # [4/5, 1] is worth exactly nu: the cut reaches 1, and eval(x, 1) says so
+    ("4/5", "1/5", ("1", "1/5"), [("cut_query", "4/5", "1/5"), ("eval_query", "4/5", "1")]),
+    # [9/10, 1] is worth 1/10 < nu: the cut clamps to 1, and eval(x, 1) says so
+    ("9/10", "1/5", None, [("cut_query", "9/10", "1/5"), ("eval_query", "9/10", "1")]),
+])
+def test_a_target_below_a_quarter_with_no_prefix_held_asks_no_prefix(monkeypatch, x, nu, claim,
+                                                                     asked):
+    log = RecordedQueries(monkeypatch)
+    expected = None if claim is None else tuple(map(Fraction, claim))
+    assert hat_cut(UNIFORM, Fraction(x), Fraction(nu)) == expected
+    assert log.asked == [(kind, Fraction(a), Fraction(b)) for kind, a, b in asked]
+
+
 # nu across (0, 1] and beyond, with the thresholds the code tests exactly
 TARGETS = st.one_of(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
                     st.fractions(min_value=Fraction(1, 20), max_value=Fraction(21, 20)))

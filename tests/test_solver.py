@@ -471,50 +471,50 @@ def test_solve_mult_reports_ratio_checks():
 # moves any of these counts or bytes must say why.
 C = Fraction(1, 10)
 PINNED_RUNS = [
-    (2, "random", 1000, "c", C, (403, 174, 84, 20, 0),
-     "999050acbd96b4d860df3640579916c94b8282551e08b1bd78466f466c2568ea"),
-    (3, "identical", 1001, "c", C, (331, 147, 147, 0, 0),
-     "ade93f80994a50383d3bd155fff4a3658b2f1e6f4924c700936e1f7b8d5ee724"),
-    (4, "blocks", 1002, "c", C, (1977, 1284, 324, 240, 0),
-     "1809359463e6f161cb12ba79c7071bc20d9d5b17e410279e66a048f42a49d29c"),
-    (5, "grouped", 1003, "c", C, (1363, 539, 306, 0, 0),
-     "7a61fd65eded5058223240df210d6655496d505b0b6e8cca08cbddcb07329ec3"),
-    (6, "random", 1004, "c", C, (5697, 2163, 403, 0, 0),
-     "6595ebe0e803e45c2ff96bf45b9d0e626b7b6f2f73c6e1296d534ede6b174ba0"),
-    (2, "identical", 1005, "c", C, (193, 83, 83, 0, 0),
-     "68938b6fb9dcb27ec8d1c4a17a8f0141906dd6469e5240846a876570db5324de"),
-    (3, "blocks", 1006, "c", C, (1221, 723, 183, 180, 0),
-     "65c6aaf43ea3d48aae23ad34f6a8878d6e4e9224701e5b31d2f0b570d2504053"),
-    (4, "grouped", 1007, "c", C, (922, 365, 186, 0, 0),
-     "4a6730e2f445365329d369bb1d6c898e7c6748ee88fcc140c164b7f29ec3b4d3"),
-    (5, "random", 1008, "c", C, (3380, 1240, 296, 0, 0),
-     "fcead0b0572d48771e67afd00bb874f5ebf8665372f3aca02c498be33bdde538"),
-    (6, "identical", 1009, "c", C, (774, 297, 297, 0, 0),
-     "d1b80e286da45d00134d02c1c0248055388ee5054294bbeac9f083e4a104a850"),
-    (2, "blocks", 1010, "c", C, (592, 320, 80, 120, 0),
-     "54d76b238b1f9ba99dbbe3b0994db74ce73e6863b156b400cc7a566204d19bb4"),
-    (3, "grouped", 1011, "c", C, (716, 285, 147, 0, 0),
-     "71e9286e4dafd28a946b67f81a7a6c674255e6a3adb7996e38442cce7097d621"),
-    (4, "random", 1012, "c", C, (1972, 751, 256, 0, 0),
-     "66643f7826b8ab837caced21e028f73f86c1f5b49c232c84cdb52ed1b3c11976"),
-    (5, "identical", 1013, "c", C, (636, 292, 292, 0, 0),
-     "ba3dcf2e4b80685cec59b7e68a2cad24c0959a9b94cf4405e62454f0b87bfc93"),
-    (6, "blocks", 1014, "c", C, (4380, 2886, 726, 360, 0),
-     "db2b3aa2f52fd8d8e54ec73afa14be4f5f22f257cf304bfe787d0b5526424bc5"),
-    (2, "grouped", 1015, "c", C, (512, 242, 74, 47, 0),
-     "fb70f14d3030c94a99b968a4b8ac37fff1423d092f6da6f708a8c370aaf7dc2d"),
-    (3, "random", 1016, "c", C, (1072, 412, 170, 0, 0),
-     "fba22ec24eca9b1f75938f3de4ab511dea5dae08c7d2a9e3bf8a0fc6f24b5601"),
-    (4, "identical", 1017, "c", C, (477, 217, 217, 0, 0),
-     "6063323b65ef7cca081ff55978deeb1d1cf585cc2f1b8343e8a4f91f9fd87c8a"),
-    (5, "blocks", 1018, "c", C, (3098, 2000, 500, 300, 0),
-     "eaa0b261032aa47bfedced37ffdd4cb37bd3169ffc0f042e8adea2c149b1a3d0"),
-    (6, "grouped", 1019, "c", C, (1505, 610, 317, 0, 0),
-     "8a2ae01171db83205053d37d19f908e391a2ed3044c83529acebffded07d260b"),
-    (50, "grouped", 7, "delta", DELTA, (2492, 863, 524, 0, 0),
-     "47d101a017452d8b0642c8df9fdaa95868243421c5f3d29eade62f4b717a4911"),
-    (30, "blocks", 7, "delta", Fraction(1, 20), (25620, 18030, 4530, 450, 0),
-     "e1b5b66260583e61b23501ec54c07792356179fb574a3aeec42ee315532225be"),
+    (2, "random", 1000, "c", C, (377, 174, 84, 20, 0),
+     "a04e90fd5cd2ccc5da1b2ead641034c374ed361acfbf9464a7bbb7f1295dd3e7"),
+    (3, "identical", 1001, "c", C, (275, 147, 147, 0, 0),
+     "890d41b3e4470b27f1663f51aa1131a95e3f85ab6703818f22e0500fcc2ae74d"),
+    (4, "blocks", 1002, "c", C, (1925, 1284, 324, 240, 0),
+     "135104c49d6bbd0eb7832e1ac138cac1ed3195c5c7e35c0c5d1a4d5fcbc37213"),
+    (5, "grouped", 1003, "c", C, (1051, 539, 306, 0, 0),
+     "4ee07a23eee16f1f7f347b5ea5e6dcaf0e61702bfb5b5284359008e9c1430c26"),
+    (6, "random", 1004, "c", C, (4246, 2163, 403, 0, 0),
+     "4c857bcef244fc5504b4d9bfc1268358c46d08622421f77d474423be0f55d04f"),
+    (2, "identical", 1005, "c", C, (173, 83, 83, 0, 0),
+     "76cc05ebdbdaa7fe09249f304e1f2d5effecbd982ad96107c45b06f7d1acbd2e"),
+    (3, "blocks", 1006, "c", C, (1191, 723, 183, 180, 0),
+     "24c18bb7964bb4b7df172e0ca55ebfdcc569383bb94b00dd9b653bb20333cd27"),
+    (4, "grouped", 1007, "c", C, (684, 365, 186, 0, 0),
+     "ac801603fbb78997a5c9b9433b2f7ac800d60002dbfae3b06f6b81cc01a5a8ce"),
+    (5, "random", 1008, "c", C, (2629, 1240, 296, 0, 0),
+     "543aa685227d6cd12ffdc7b03d4dfd7034c92475946f3fdd1f53c8cbed022674"),
+    (6, "identical", 1009, "c", C, (543, 297, 297, 0, 0),
+     "f64c9091ba377ef9ef7dec396a37a233bd48c415bcba2c57a7050a2d25430a0a"),
+    (2, "blocks", 1010, "c", C, (580, 320, 80, 120, 0),
+     "3c92fd1704d02bedc177f772aa993bfc6cf419f3e4aca962587c910576dc9e97"),
+    (3, "grouped", 1011, "c", C, (581, 285, 147, 0, 0),
+     "9ded48153ee5aeee296f0ef1558c0b2575ae5a3484bc7142160542b8412f623e"),
+    (4, "random", 1012, "c", C, (1615, 751, 256, 0, 0),
+     "2b8a657612df0f3d2609fc6f4a029e25387d035b52e3fe389198dfbfea5fba52"),
+    (5, "identical", 1013, "c", C, (452, 292, 292, 0, 0),
+     "ae899d09a505ed5e510411663cdc9e8f69095a10e218f25f18c1f9f50cc8c4fa"),
+    (6, "blocks", 1014, "c", C, (4260, 2886, 726, 360, 0),
+     "44a78cf1d999f9085b2eca81c087a4bfdbda5e7f82c381cc90ccdc5767a849af"),
+    (2, "grouped", 1015, "c", C, (468, 242, 74, 47, 0),
+     "446a6cffeaf0fa3286cd6b87b13493ea530417f4cdbbb91e0ebd3faab9530ac7"),
+    (3, "random", 1016, "c", C, (963, 412, 170, 0, 0),
+     "108ebbc01c5ffad347fa6deae7da5057cb43c2b15c28bee5bd3917634156cd80"),
+    (4, "identical", 1017, "c", C, (367, 217, 217, 0, 0),
+     "dbb4f04ba87faf19faf4f522216cc9605f854b562122fedf4e01fb26e76e51e9"),
+    (5, "blocks", 1018, "c", C, (3018, 2000, 500, 300, 0),
+     "c567cf4a8dd4fb0ad16b5acefd675336739693e6b5ff50e6557fd82ac7ceb872"),
+    (6, "grouped", 1019, "c", C, (1042, 610, 317, 0, 0),
+     "d334a4103f39178af04cecb5f6e3dcb0116a55fe799ba1967d0766f2c7f91f81"),
+    (50, "grouped", 7, "delta", DELTA, (1906, 863, 524, 0, 0),
+     "b23f307dbe65d2a4ce1e070bbd067fab689eab3943b3d0e5705b8cafeb7afe5a"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (24870, 18030, 4530, 450, 0),
+     "cd72429ad6dc6ce6977339a95d9bb2c500790fdec8f7a75b3987a15d03351f78"),
 ]
 
 
@@ -586,15 +586,15 @@ class QueryLog:
                          ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in PINNED_RUNS])
 def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key, value, counts,
                                                digest):
-    """At most one cut and no eval but eval(0, x) in a hat cut, no repeat in a hat cut,
-    nothing asked by ``award`` itself, and no query of either phase left uncounted."""
+    """At most one cut and no eval but eval(0, x) or eval(x, 1) in a hat cut, no repeat in a
+    hat cut, nothing asked by ``award`` itself, and no query of either phase left uncounted."""
     instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
     log = QueryLog(monkeypatch)
     if key == "c":
         solve_mult(instance, value)
     else:
         solve(instance, SolverConfig(delta=value))
-    assert all(q == ("eval_query", 0, log.starts[call])
+    assert all(q in [("eval_query", 0, log.starts[call]), ("eval_query", log.starts[call], 1)]
                for _, call, _, q, _ in log.records if call is not None and q[0] == "eval_query")
     per_call = {}
     for spans, call, v, question, _ in log.records:
