@@ -208,10 +208,10 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
         hats, gap_hats = [hat_eval(v, p) for p in pieces], [hat_eval(v, g) for g in gaps]
         worth = [h if h < ONE else v.value_of(p) for p, h in zip(pieces, hats)]
         gap_worth = [h if h < ONE else v.value_of(g) for g, h in zip(gaps, gap_hats)]
-        # (j, value right of P_j) when P_j is bifurcating for v yet worth
-        # 1/4 + delta/n with at most 1/2 - delta/n to its right.
-        thin = [(j, right) for j, (p, h, w) in enumerate(zip(pieces, hats, worth))
-                if h == ONE and w >= QUARTER + step and (right := v.value(p.hi, ONE)) <= HALF - step]
+        # P_j bifurcating for v yet worth 1/4 + delta/n, with at most
+        # 1/2 - delta/n to its right
+        thin = [j for j, (p, h, w) in enumerate(zip(pieces, hats, worth))
+                if h == ONE and w >= QUARTER + step and v.value(p.hi, ONE) <= HALF - step]
         return (hats, gap_hats, worth, gap_worth, thin,
                 max(gap_hats, default=ZERO), max(gap_worth, default=ZERO))
 
@@ -239,12 +239,11 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
                     bad["no_affordable_prefix"] = (f"{_agent(i)} can reach {own} + {step} "
                                                    f"by {y} inside {_agent(j)}'s piece {p}")
                     break
-        margin = next((t for t in thin if t[0] != i), None) if own < ONE else None
-        if margin is not None:
-            j, right = margin
+        j = next((j for j in thin if j != i), None) if own < ONE else None
+        if j is not None:
             bad.setdefault("bifurcating_margin",
-                           f"{_agent(j)}'s piece {pieces[j]} is bifurcating for {_agent(i)} "
-                           f"yet worth {worth[j]} with only {right} to its right")
+                           f"{_agent(j)}'s piece {pieces[j]} is bifurcating for {_agent(i)} yet "
+                           f"worth {worth[j]} with only {v.value(pieces[j].hi, ONE)} to its right")
         if top_gap_worth > cap:
             k = next(k for k, w in enumerate(gap_worth) if w > cap)
             bad.setdefault("gap_envy_cap",
