@@ -197,9 +197,11 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
     where a hat value below 1 is the plain value, so plain values are looked
     up only for bifurcating intervals, and the pieces whose margin is thin.
     Each check moves one way in a piece's or gap's worth, so an agent is
-    then judged from the largest entry it can see, and only an agent that
-    fails scans its rows.  Each witness is the first failure agent by agent,
-    except that a remaining claim names the leftmost gap still claimed.
+    judged from a row's largest entry, and only an agent that fails scans
+    the row.  The own piece never fails: it is worth at most the own hat
+    value, below the cap, and is not thin for an agent below hat value 1.
+    Each witness is the first failure agent by agent, except that a
+    remaining claim names the leftmost gap still claimed.
     """
     step = delta / len(valuations)
     gaps = unassigned_gaps(pieces)
@@ -212,35 +214,33 @@ def check_phase_invariants(pieces: Sequence[Piece], valuations: Sequence[Valuati
         # 1/2 - delta/n to its right
         thin = [j for j, (p, h, w) in enumerate(zip(pieces, hats, worth))
                 if h == ONE and w >= QUARTER + step and v.value(p.hi, ONE) <= HALF - step]
-        return (hats, gap_hats, worth, gap_worth, thin,
-                max(gap_hats, default=ZERO), max(gap_worth, default=ZERO))
+        tops = [max(row, default=ZERO) for row in (worth, gap_hats, gap_worth)]
+        return hats, worth, gap_hats, gap_worth, thin, tops
 
-    table = _per_valuation(valuations, rows)
-    best = _best_others([t[2] for t in table])
     claims: list[tuple[int, int]] = []
     bad: dict[str, str] = {}
-    for i, (v, (hats, gap_hats, worth, gap_worth, thin, top_gap_hat, top_gap_worth), other) in \
-            enumerate(zip(valuations, table, best)):
+    for i, (v, (hats, worth, gap_hats, gap_worth, thin, (top, top_gap_hat, top_gap_worth))) in \
+            enumerate(zip(valuations, _per_valuation(valuations, rows))):
         own = hats[i]
         cap = own + step
         if top_gap_hat >= cap:
             claims.append((next(k for k, h in enumerate(gap_hats) if h >= cap), i))
-        if other is not None and other > cap:
-            j = next(j for j, w in enumerate(worth) if j != i and w > cap)
+        if top > cap:
+            j = next(j for j, w in enumerate(worth) if w > cap)
             bad.setdefault("piece_envy_cap",
                            f"{_agent(i)} values {_agent(j)}'s piece at {worth[j]} > {own} + {step}")
         # A strict prefix [lo_j, y), y < hi_j, reaching the cap would mean
         # agent i should have taken it; only a piece worth at least the cap
-        # can hold one (the own piece, skipped, is worth at most own < cap).
-        if other is not None and other >= cap and "no_affordable_prefix" not in bad:
+        # can hold one.
+        if top >= cap and "no_affordable_prefix" not in bad:
             for j, (p, w) in enumerate(zip(pieces, worth)):
-                y = v.leftmost_reach(p.lo, cap) if j != i and w >= cap else None
+                y = v.leftmost_reach(p.lo, cap) if w >= cap else None
                 if y is not None and y < p.hi:
                     bad["no_affordable_prefix"] = (f"{_agent(i)} can reach {own} + {step} "
                                                    f"by {y} inside {_agent(j)}'s piece {p}")
                     break
-        j = next((j for j in thin if j != i), None) if own < ONE else None
-        if j is not None:
+        if thin and own < ONE:
+            j = thin[0]
             bad.setdefault("bifurcating_margin",
                            f"{_agent(j)}'s piece {pieces[j]} is bifurcating for {_agent(i)} yet "
                            f"worth {worth[j]} with only {v.value(pieces[j].hi, ONE)} to its right")

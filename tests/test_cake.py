@@ -31,6 +31,18 @@ def test_interval_factory_orders_and_bounds():
             interval(lo, hi)
 
 
+def test_a_fraction_is_kept_and_anything_else_exact_becomes_one():
+    half = Fraction(1, 2)
+
+    class Half(Fraction):
+        pass
+
+    piece = interval(half, Half(1, 1))
+    assert piece.lo is half  # a Fraction passes through unrebuilt
+    assert type(piece.hi) is Fraction and piece.hi == 1  # a subclass is converted
+    assert type(interval(0, 1).lo) is Fraction
+
+
 def test_interval_width_and_str():
     piece = interval(0, "2/3")
     assert piece.width == Fraction(2, 3)
