@@ -80,52 +80,50 @@ def values_matrix(pieces: Sequence[Piece], valuations: Sequence[Valuation]) -> l
     return _per_valuation(valuations, lambda v: [v.value_of(p) for p in pieces])
 
 
-def _best_others(values: Sequence[Sequence[Fraction]]) -> list[Optional[Fraction]]:
-    """Each agent's largest value for another agent's piece; None when there is none.
+def _own_and_best(values: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, Optional[Fraction]]]:
+    """(v_i(own piece), v_i(best other piece)) per agent; the latter None when there is none.
 
-    That is the row's maximum unless it sits in the agent's own column, and
-    then the runner-up.  Both are found once per row object.  Envy, half
-    value and ratio each move one way as the other piece's value grows, so
-    an agent's verdict on every other piece follows from this one.
+    The best other piece is the row's maximum unless that sits in the
+    agent's own column, and then the runner-up.  Both are found once per row
+    object.  Envy, half value and ratio each move one way as the other
+    piece's value grows, so an agent's verdict on every other piece follows
+    from its best one.
     """
     tops = {}
-    best = []
+    pairs = []
     for i, row in enumerate(values):
         if id(row) not in tops:
             k = max(range(len(row)), key=row.__getitem__)
             tops[id(row)] = k, row[k], max(row[:k] + row[k + 1:], default=None)
         k, top, runner_up = tops[id(row)]
-        best.append(runner_up if k == i else top)
-    return best
+        pairs.append((row[i], runner_up if k == i else top))
+    return pairs
 
 
-def _first_failure(values, best, fails, say) -> Optional[str]:
+def _first_failure(values: Sequence[Sequence[Fraction]], pairs, fails, say) -> Optional[str]:
     """``say(i, j, own, other)`` for the first pair i != j, row by row, that ``fails``.
 
-    ``fails(own, other)`` may only turn true as ``other`` grows, so only an
-    agent that fails at its best other piece has its row scanned.
+    ``pairs`` is ``_own_and_best(values)``.  ``fails(own, other)`` may only
+    turn true as ``other`` grows, so only an agent that fails at its best
+    other piece has its row scanned.
     """
-    for i, (row, other) in enumerate(zip(values, best)):
-        if other is not None and fails(row[i], other):
-            j = next(j for j, x in enumerate(row) if j != i and fails(row[i], x))
-            return say(i, j, row[i], row[j])
+    for i, (own, other) in enumerate(pairs):
+        if other is not None and fails(own, other):
+            row = values[i]
+            j = next(j for j, x in enumerate(row) if j != i and fails(own, x))
+            return say(i, j, own, row[j])
     return None
-
-
-def _own_and_best(values: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """(v_i(own), v_i(best other piece)) for each agent that sees another piece."""
-    return [(row[i], other) for i, (row, other) in enumerate(zip(values, _best_others(values)))
-            if other is not None]
 
 
 def max_envy_of(values: Sequence[Sequence[Fraction]]) -> Fraction:
     """Largest amount any agent prefers another's piece over its own (>= 0)."""
-    return max([ZERO, *(other - own for own, other in _own_and_best(values))])
+    return max([ZERO, *(other - own for own, other in _own_and_best(values) if other is not None)])
 
 
 def min_ratio_of(values: Sequence[Sequence[Fraction]]) -> Optional[Fraction]:
     """Smallest v_i(own)/v_i(other) over pairs where the other piece has value."""
-    return min((own / other for own, other in _own_and_best(values) if other > 0), default=None)
+    return min((own / other for own, other in _own_and_best(values)
+                if other is not None and other > 0), default=None)
 
 
 def _agent(i: int) -> str:
@@ -151,11 +149,11 @@ def check_theorem_bounds(values: Sequence[Sequence[Fraction]], delta: Fraction) 
     n = len(values)
     step = delta / n
     bound = QUARTER + 2 * step
-    best = _best_others(values)
-    envy = _first_failure(values, best, lambda own, other: other - own > bound,
+    pairs = _own_and_best(values)
+    envy = _first_failure(values, pairs, lambda own, other: other - own > bound,
                           lambda i, j, own, other:
                           f"{_agent(i)} envies {_agent(j)} by {other - own} > {bound}")
-    half = _first_failure(values, best, lambda own, other: own < other / 2 - step,
+    half = _first_failure(values, pairs, lambda own, other: own < other / 2 - step,
                           lambda i, j, own, other:
                           f"{_agent(i)} holds {own} < {other}/2 - {delta}/{n}")
     return [Check("additive_envy_bound", envy is None, envy),
@@ -166,7 +164,7 @@ def check_mult_bounds(values: Sequence[Sequence[Fraction]], c: Fraction) -> list
     """Multiplicative-mode guarantees on the value matrix: pairwise ratio and the 1/(4n) floor."""
     n = len(values)
     scale = 2 + c
-    ratio = _first_failure(values, _best_others(values), lambda own, other: scale * own < other,
+    ratio = _first_failure(values, _own_and_best(values), lambda own, other: scale * own < other,
                            lambda i, j, own, other:
                            f"(2+{c}) * {own} < {other} for {_agent(i)} vs {_agent(j)}")
     floor = Fraction(1, 4 * n)
