@@ -194,13 +194,6 @@ def test_the_audit_matches_the_literal_pair_scans(allocation, delta, c):
             literal_phase_invariants(pieces, valuations, delta, phase)
 
 
-def test_an_agent_holding_its_best_piece_is_judged_by_the_next_best():
-    pieces, valuations = BOTH_HOLD_THEIR_BEST
-    values = values_matrix(pieces, valuations)
-    assert min_ratio_of(values) == 3
-    assert max_envy_of(values) == 0
-
-
 def test_trace_monotonicity_detects_a_drop():
     class Fake:
         events = []
