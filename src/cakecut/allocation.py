@@ -9,7 +9,10 @@ The envy graph (``EnvyGraph``) has an edge i -> j whenever agent i's hat
 value for its own piece is strictly below its hat value for j's piece.
 Cycles are removed by rotating pieces along a cycle (each agent takes its
 successor's piece), which never lowers anyone's hat value and strictly
-shrinks the edge set, so at most n^2 rotations occur.
+shrinks the edge set, so at most n^2 rotations occur.  An agent values
+cake outside its support at 0, so the graph asks an agent about a piece only
+when the agent's support meets it, and when a piece grows, only when the
+support meets the added part.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cake import ONE, ZERO, Interval, Piece, QueryCounter, Valuation
+from .cake import ONE, ZERO, Interval, Piece, QueryCounter, SupportBoxes, Valuation
 from .hatvalue import hat_eval
 
 Pieces = Sequence[Piece]
@@ -58,7 +61,11 @@ def unassigned_gaps(pieces: Pieces) -> list[Interval]:
 
 def hat_matrix(pieces: Pieces, valuations: Sequence[Valuation],
                counter: Optional[QueryCounter] = None) -> list[list[Fraction]]:
-    """H[i][j] = hat value, for agent i, of the piece agent j holds."""
+    """H[i][j] = hat value, for agent i, of the piece agent j holds.
+
+    Every entry is asked; ``EnvyGraph`` builds the same matrix asking only
+    the agents whose support meets each piece.
+    """
     return [[hat_eval(v, p, counter) for p in pieces] for v in valuations]
 
 
@@ -139,7 +146,10 @@ class EnvyGraph:
     ``matrix[i][j]`` is agent i's hat value for the piece agent j holds,
     ``succ[i]`` the agents that i envies and ``in_deg[j]`` the number of
     agents that envy j.  Queries are issued only to build the matrix and to
-    re-evaluate a piece that grows; rotations just permute columns.
+    re-evaluate a piece that grows, and only to the agents whose support box
+    (``boxes``) meets the piece, or the part it grows by: an agent values
+    cake outside its support at 0, and a hat value below 1/4 is the plain
+    value.  Rotations just permute columns.
     """
 
     def __init__(self, pieces: Pieces, valuations: Sequence[Valuation],
@@ -147,8 +157,20 @@ class EnvyGraph:
         self.pieces = list(pieces)
         self.valuations = valuations
         self.counter = counter
-        self.matrix = hat_matrix(self.pieces, valuations, counter)
+        self.boxes = SupportBoxes(valuations)
+        self.matrix = [[ZERO] * len(self.pieces) for _ in valuations]
+        for j, p in enumerate(self.pieces):
+            for i in self._meeting(p.lo, p.hi) if p is not None else ():
+                self.matrix[i][j] = hat_eval(valuations[i], p, counter)
         self._index()
+
+    def _meeting(self, lo: Fraction, hi: Fraction) -> set[int]:
+        """The agents whose support meets the open interval (lo, hi)."""
+        if lo >= hi:
+            return set()
+        boxes = self.boxes
+        left, right = boxes.floor(lo), boxes.ceil(hi)
+        return {i for i, (a, b) in enumerate(zip(boxes.lo, boxes.hi)) if a < right and b > left}
 
     def _index(self) -> None:
         self.succ = envy_edges(self.matrix)
@@ -174,21 +196,30 @@ class EnvyGraph:
         raise RuntimeError("envy graph has no source; resolve cycles first")
 
     def grow(self, s: int, piece: Piece) -> None:
-        """Give agent s ``piece``, which contains its old one, and update s's edges.
+        """Give agent s ``piece``, which contains its old one, and update the graph.
 
         Only column s changes, and only upward: s may stop envying others,
-        and others may start envying s.
+        and others may start envying s.  Only the agents whose support meets
+        an added part, [piece.lo, old.lo] or [old.hi, piece.hi], are asked
+        again: for any other agent the piece's value and the mass on each
+        side of it are unchanged, and so is its hat value.  That holds only
+        when both pieces are intervals and the new one contains the old one,
+        so anything else raises ``RuntimeError``.
         """
+        old = self.pieces[s]
+        if old is None or piece is None or piece.lo > old.lo or piece.hi < old.hi:
+            raise RuntimeError(f"agent {s + 1}'s piece {old} cannot grow to {piece}")
         self.pieces[s] = piece
-        m = self.matrix
-        for i, v in enumerate(self.valuations):
-            m[i][s] = hat_eval(v, piece, self.counter)
-        for j in [j for j in self.succ[s] if m[s][j] <= m[s][s]]:
-            self.succ[s].discard(j)
-            self.in_deg[j] -= 1
-        for i, out in enumerate(self.succ):
-            if i != s and s not in out and m[i][s] > m[i][i]:
-                out.add(s)
+        m, succ = self.matrix, self.succ
+        for i in self._meeting(piece.lo, old.lo) | self._meeting(old.hi, piece.hi):
+            m[i][s] = hat_eval(self.valuations[i], piece, self.counter)
+            if i == s:
+                dropped = [j for j in succ[s] if m[s][j] <= m[s][s]]
+                succ[s].difference_update(dropped)
+                for j in dropped:
+                    self.in_deg[j] -= 1
+            elif s not in succ[i] and m[i][s] > m[i][i]:
+                succ[i].add(s)
                 self.in_deg[s] += 1
 
     def hats(self) -> list[Fraction]:

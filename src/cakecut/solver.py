@@ -31,7 +31,6 @@ import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .audit import AuditReport, Check, build_report, check_phase_invariants, loop_budget
@@ -42,6 +41,7 @@ from .cake import (
     Interval,
     Piece,
     QueryCounter,
+    SupportBoxes,
     ValidationError,
     Valuation,
     cut_query,
@@ -142,12 +142,11 @@ class GapPool:
     value asked goes on to ``hat_cut``, and the hat value ``hat_cut`` returns
     with its point names the winner and becomes its hat value, so an
     award asks nothing itself.  A gap is seeded only from valuations whose
-    support box meets it.  Boxes are the support endpoints scaled by the lcm
-    of their denominators, so the test is on integers and exact: a support
-    that only touches a gap at an endpoint is never seeded.  The ids that
-    still have members are kept in ``starts``, sorted by ``(support_lo, id)``,
-    so a reseed reads the ids whose support starts inside the gap as one
-    slice.
+    support box meets it.  The boxes are ``SupportBoxes``, so the test is on
+    integers and exact: a support that only touches a gap at an endpoint is
+    never seeded.  The ids that still have members are kept in ``starts``,
+    sorted by ``(support_lo, id)``, so a reseed reads the ids whose support
+    starts inside the gap as one slice.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -162,14 +161,13 @@ class GapPool:
         self.members: dict[str, list[int]] = {}
         for i, vid in enumerate(self.vids):
             self.members.setdefault(vid, []).append(i)
-        supports = {vid: (self.valuations[vid].support_lo, self.valuations[vid].support_hi)
-                    for vid in self.members}
-        self.scale = lcm(*(x.denominator for box in supports.values() for x in box))
-        self.box_hi = {vid: int(hi * self.scale) for vid, (_, hi) in supports.items()}
+        ids = list(self.members)
+        self.boxes = SupportBoxes([self.valuations[vid] for vid in ids])
+        self.box_hi = dict(zip(ids, self.boxes.hi))
         # (support_lo, id) of every id with members -- exactly the order entry
         # of a gap its support starts inside -- and the integer box_lo keys.
-        self.starts = sorted((lo, vid) for vid, (lo, _) in supports.items())
-        self.start_keys = [int(lo * self.scale) for lo, _ in self.starts]
+        self.starts = sorted((self.valuations[vid].support_lo, vid) for vid in ids)
+        self.start_keys = [self.boxes.floor(lo) for lo, _ in self.starts]
         self.gaps: list[_Gap] = [self._seed(_Gap(ZERO, ONE))]
 
     def _seed(self, g: _Gap) -> _Gap:
@@ -180,9 +178,8 @@ class GapPool:
         ``(start, id)`` order, with no peek.  Only the ids whose support
         straddles ``g.lo`` are peeked with ``next_mass`` and inserted.
         """
-        lo = g.lo.numerator * self.scale // g.lo.denominator          # floor(lo * scale)
-        first = -(-g.lo.numerator * self.scale // g.lo.denominator)   # ceil(lo * scale)
-        hi = -(-g.hi.numerator * self.scale // g.hi.denominator)      # ceil(hi * scale)
+        boxes = self.boxes
+        lo, first, hi = boxes.floor(g.lo), boxes.ceil(g.lo), boxes.ceil(g.hi)
         k = bisect_left(self.start_keys, first)
         order = self.starts[k:bisect_left(self.start_keys, hi, k)]
         for _, vid in self.starts[:k]:
@@ -330,6 +327,13 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
               trace: Optional[Trace] = None) -> list[Piece]:
     """Appending phase: feed gap crumbs to envy-graph sources until <= n gaps.
 
+    The crumb from the source's right end ``r_s`` ends at the least of the
+    agents' cuts ``cut(r_s, delta/n)``.  Only an agent whose support meets
+    ``(r_s, x)``, x being the least cut answered so far (1 at first), is
+    asked: any other agent's cut ends at 1 or beyond its support start, not
+    before x.  The envy graph asks only the agents whose support meets the
+    piece, or the part it grows by (``EnvyGraph``).
+
     Like the growth loop, it stops after floor(n^2/delta) + 1 iterations, so
     a run that overruns leaves more than n gaps and fails the report's
     ``appending_iterations_within_budget`` and ``complete_cover`` checks.
@@ -351,6 +355,7 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
         return list(pieces)
 
     graph = EnvyGraph(pieces, valuations, counter)
+    boxes = graph.boxes
     step = config.delta / n
     budget = loop_budget(n, config.delta)
     iterations = 0
@@ -369,7 +374,12 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
         k = bisect_left(gaps, r_s, key=lambda g: g.lo)
         if k == len(gaps) or gaps[k].lo != r_s:
             raise RuntimeError(f"source agent {s + 1} has no gap on its right at {r_s}")
-        x = min(cut_query(v, r_s, step, counter) for v in valuations)
+        # x is the least cut so far: an agent whose support misses (r_s, x)
+        # cannot cut short of it.
+        left, x, right = boxes.floor(r_s), ONE, boxes.scale
+        for v, lo, hi in zip(valuations, boxes.lo, boxes.hi):
+            if lo < right and hi > left and (y := cut_query(v, r_s, step, counter)) < x:
+                x, right = y, boxes.ceil(y)
         if x >= gaps[k].hi:
             x = gaps.pop(k).hi
             kind = "whole_gap"

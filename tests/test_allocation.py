@@ -1,5 +1,6 @@
 """Gap computation, the envy graph and its cycle elimination."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -143,15 +144,30 @@ def test_grow_matches_a_rebuilt_graph(pv, data):
     graph = EnvyGraph(pieces, vals, counter)
     built = counter.eval_count
     graph.grow(s, piece)
+    # one hat_eval per agent whose support meets an added part
+    added = [(lo, hi) for lo, hi in [(piece.lo, old.lo), (old.hi, piece.hi)] if lo < hi]
     column = QueryCounter()
     for v in vals:
-        hat_eval(v, piece, column)
-    assert counter.eval_count - built == column.eval_count  # one hat_eval per agent
+        if any(v.support_lo < hi and v.support_hi > lo for lo, hi in added):
+            hat_eval(v, piece, column)
+    assert counter.eval_count - built == column.eval_count
     fresh = EnvyGraph(graph.pieces, vals)
     assert graph.pieces[s] == piece
-    assert graph.matrix == fresh.matrix
+    assert graph.matrix == fresh.matrix == hat_matrix(graph.pieces, vals)
     assert graph.succ == fresh.succ
     assert graph.in_deg == fresh.in_deg
+
+
+@pytest.mark.parametrize("old, piece", [
+    ("[1/8, 1/4]", interval(0, "1/8")), ("[1/8, 1/4]", interval("3/16", "3/8")),
+    ("[1/8, 1/4]", interval(0, "3/16")), ("[1/8, 1/4]", None), (None, interval(0, "1/4"))])
+def test_grow_refuses_a_piece_that_does_not_contain_the_old_one(old, piece):
+    # skipping the agents an added part misses is sound only for a piece that
+    # grew; the check must hold with asserts stripped
+    held = None if old is None else interval("1/8", "1/4")
+    graph = EnvyGraph([held, interval("1/2", 1)], [UNIFORM, UNIFORM])
+    with pytest.raises(RuntimeError, match=re.escape(f"piece {old} cannot grow to {piece}")):
+        graph.grow(0, piece)
 
 
 def test_resolve_cycles_is_pure_column_permutation():

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakecut.solver
-from cakecut import (GeneratorSpec, Instance, SolverConfig, Trace, ValidationError, Valuation,
-                     generate, hat_eval, interval, merge_final, phase_one, phase_two, solve,
-                     solve_mult)
+from cakecut import (GeneratorSpec, Instance, QueryCounter, SolverConfig, Trace, ValidationError,
+                     Valuation, generate, hat_eval, interval, merge_final, phase_one, phase_two,
+                     solve, solve_mult)
 from cakecut.serialize import allocation_to_obj, dumps_canonical
 from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
 from oracles import worst_envy
@@ -202,6 +202,27 @@ def test_appending_phase_matches_the_literal_loop_through_a_rotation(n, seed, de
 def test_appending_phase_matches_the_literal_loop_on_random_instances(inst):
     result, partial = appending(inst)
     assert result == appending_phase(partial, inst, DELTA)
+
+
+@pytest.mark.parametrize("valuations, cuts", [
+    # b's support starts at 2/9, inside (1/5, 1/4]: a asks first and ends the
+    # crumb at 1/4, which is 9/4 on the support scale 9, so b is asked only
+    # if the crumb's end is scaled up, to 3
+    ({"a": Valuation(["0", "1"], ["1"]),
+      "b": Valuation(["0", "2/9", "6/25", "1"], ["0", "225/8", "25/38"])}, 28),
+    # c's support ends at 2/9, just right of the crumb's start 1/5, which is
+    # 9/5 on the scale 9, so c is asked only if that start is scaled down, to 1
+    ({"c": Valuation(["0", "1/9", "2/9", "1"], ["0", "9", "0"]),
+      "a": Valuation(["0", "1"], ["1"])}, 17),
+])
+def test_a_crumb_asks_every_agent_whose_support_meets_it(valuations, cuts):
+    instance = Instance(valuations, list(valuations))
+    partial = [interval("1/10", "1/5"), interval("1/2", "3/5")]
+    counter, trace = QueryCounter(), Trace()
+    pieces = phase_two(partial, instance, SolverConfig(delta=DELTA), counter, trace)
+    assert (pieces, trace.phase2_iterations, trace.cycle_rotations) == \
+        appending_phase(partial, instance, DELTA)
+    assert counter.cut_count == cuts
 
 
 def test_growth_loop_stops_at_its_budget(monkeypatch):
@@ -475,46 +496,46 @@ PINNED_RUNS = [
      "a04e90fd5cd2ccc5da1b2ead641034c374ed361acfbf9464a7bbb7f1295dd3e7"),
     (3, "identical", 1001, "c", C, (275, 147, 147, 0, 0),
      "890d41b3e4470b27f1663f51aa1131a95e3f85ab6703818f22e0500fcc2ae74d"),
-    (4, "blocks", 1002, "c", C, (1925, 1284, 324, 240, 0),
-     "135104c49d6bbd0eb7832e1ac138cac1ed3195c5c7e35c0c5d1a4d5fcbc37213"),
+    (4, "blocks", 1002, "c", C, (1113, 564, 324, 240, 0),
+     "057d2c22dee9e293f2e964668b1398964a8df43e62ed52e5542c2ff05e5c4914"),
     (5, "grouped", 1003, "c", C, (1051, 539, 306, 0, 0),
      "4ee07a23eee16f1f7f347b5ea5e6dcaf0e61702bfb5b5284359008e9c1430c26"),
     (6, "random", 1004, "c", C, (4246, 2163, 403, 0, 0),
      "4c857bcef244fc5504b4d9bfc1268358c46d08622421f77d474423be0f55d04f"),
     (2, "identical", 1005, "c", C, (173, 83, 83, 0, 0),
      "76cc05ebdbdaa7fe09249f304e1f2d5effecbd982ad96107c45b06f7d1acbd2e"),
-    (3, "blocks", 1006, "c", C, (1191, 723, 183, 180, 0),
-     "24c18bb7964bb4b7df172e0ca55ebfdcc569383bb94b00dd9b653bb20333cd27"),
+    (3, "blocks", 1006, "c", C, (706, 363, 183, 180, 0),
+     "bf5f009577f6f23a99f5dfc1501242b7d70fa955dc9cb2dba73ad2248a974c35"),
     (4, "grouped", 1007, "c", C, (684, 365, 186, 0, 0),
      "ac801603fbb78997a5c9b9433b2f7ac800d60002dbfae3b06f6b81cc01a5a8ce"),
     (5, "random", 1008, "c", C, (2629, 1240, 296, 0, 0),
      "543aa685227d6cd12ffdc7b03d4dfd7034c92475946f3fdd1f53c8cbed022674"),
     (6, "identical", 1009, "c", C, (543, 297, 297, 0, 0),
      "f64c9091ba377ef9ef7dec396a37a233bd48c415bcba2c57a7050a2d25430a0a"),
-    (2, "blocks", 1010, "c", C, (580, 320, 80, 120, 0),
-     "3c92fd1704d02bedc177f772aa993bfc6cf419f3e4aca962587c910576dc9e97"),
+    (2, "blocks", 1010, "c", C, (381, 200, 80, 120, 0),
+     "16f576459e88b7e3d8cc1742eb98fb7b1ea9eb5c6a3b0f3160a85a2a4401eb2b"),
     (3, "grouped", 1011, "c", C, (581, 285, 147, 0, 0),
      "9ded48153ee5aeee296f0ef1558c0b2575ae5a3484bc7142160542b8412f623e"),
     (4, "random", 1012, "c", C, (1615, 751, 256, 0, 0),
      "2b8a657612df0f3d2609fc6f4a029e25387d035b52e3fe389198dfbfea5fba52"),
     (5, "identical", 1013, "c", C, (452, 292, 292, 0, 0),
      "ae899d09a505ed5e510411663cdc9e8f69095a10e218f25f18c1f9f50cc8c4fa"),
-    (6, "blocks", 1014, "c", C, (4260, 2886, 726, 360, 0),
-     "44a78cf1d999f9085b2eca81c087a4bfdbda5e7f82c381cc90ccdc5767a849af"),
+    (6, "blocks", 1014, "c", C, (2191, 1086, 726, 360, 0),
+     "c0344e9d1c83b017055cd8e169c338a5138ec934d98bb242619c037266ab15ac"),
     (2, "grouped", 1015, "c", C, (468, 242, 74, 47, 0),
      "446a6cffeaf0fa3286cd6b87b13493ea530417f4cdbbb91e0ebd3faab9530ac7"),
     (3, "random", 1016, "c", C, (963, 412, 170, 0, 0),
      "108ebbc01c5ffad347fa6deae7da5057cb43c2b15c28bee5bd3917634156cd80"),
     (4, "identical", 1017, "c", C, (367, 217, 217, 0, 0),
      "dbb4f04ba87faf19faf4f522216cc9605f854b562122fedf4e01fb26e76e51e9"),
-    (5, "blocks", 1018, "c", C, (3018, 2000, 500, 300, 0),
-     "c567cf4a8dd4fb0ad16b5acefd675336739693e6b5ff50e6557fd82ac7ceb872"),
+    (5, "blocks", 1018, "c", C, (1601, 800, 500, 300, 0),
+     "446983e107776164e340006153799280ec25090ef17689503e7acfa71dd0e690"),
     (6, "grouped", 1019, "c", C, (1042, 610, 317, 0, 0),
      "d334a4103f39178af04cecb5f6e3dcb0116a55fe799ba1967d0766f2c7f91f81"),
     (50, "grouped", 7, "delta", DELTA, (1906, 863, 524, 0, 0),
      "b23f307dbe65d2a4ce1e070bbd067fab689eab3943b3d0e5705b8cafeb7afe5a"),
-    (30, "blocks", 7, "delta", Fraction(1, 20), (24870, 18030, 4530, 450, 0),
-     "cd72429ad6dc6ce6977339a95d9bb2c500790fdec8f7a75b3987a15d03351f78"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (10651, 4980, 4530, 450, 0),
+     "80a9f3aae4210e939e05aed2dd49980e822d89d8ab23dda997d5fd703ac21c03"),
 ]
 
 
@@ -587,7 +608,8 @@ class QueryLog:
 def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key, value, counts,
                                                digest):
     """At most one cut and no eval but eval(0, x) or eval(x, 1) in a hat cut, no repeat in a
-    hat cut, nothing asked by ``award`` itself, and no query of either phase left uncounted."""
+    hat cut, nothing asked by ``award`` itself, no query of either phase left uncounted, and
+    no appending cut from a point where the agent's support has ended."""
     instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
     log = QueryLog(monkeypatch)
     if key == "c":
@@ -605,3 +627,5 @@ def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key
     assert [r for r in log.records if r[0][-1:] == ("award",)] == []
     hidden = [r for r in log.records if not r[4] and {"phase_one", "phase_two"} & set(r[0])]
     assert hidden == []
+    assert all(q[1] < v.support_hi for spans, _, v, q, _ in log.records
+               if "phase_two" in spans and q[0] == "cut_query")
