@@ -22,7 +22,7 @@ from .cake import (
     eval_query,
     interval,
 )
-from .hatvalue import hat_cut, hat_eval, is_bifurcating
+from .hatvalue import PrefixBook, hat_cut, hat_eval, is_bifurcating
 from .allocation import EnvyGraph, check_pieces, unassigned_gaps
 from .audit import (
     AuditReport,
@@ -54,6 +54,7 @@ __all__ = [
     "Instance",
     "Interval",
     "Piece",
+    "PrefixBook",
     "QueryCounter",
     "SolverConfig",
     "Trace",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cake import ONE, ZERO, Interval, Piece, QueryCounter, SupportBoxes, Valuation
-from .hatvalue import hat_eval
+from .hatvalue import PrefixBook, hat_eval
 
 Pieces = Sequence[Piece]
 
@@ -149,19 +149,22 @@ class EnvyGraph:
     re-evaluate a piece that grows, and only to the agents whose support box
     (``boxes``) meets the piece, or the part it grows by: an agent values
     cake outside its support at 0, and a hat value below 1/4 is the plain
-    value.  Rotations just permute columns.
+    value.  Rotations just permute columns.  Every hat value reads and teaches
+    ``book``, a ``PrefixBook`` (fresh when none is given), so a piece whose
+    ends' masses the agent's earlier answers fixed asks nothing.
     """
 
     def __init__(self, pieces: Pieces, valuations: Sequence[Valuation],
-                 counter: Optional[QueryCounter] = None):
+                 counter: Optional[QueryCounter] = None, book: Optional[PrefixBook] = None):
         self.pieces = list(pieces)
         self.valuations = valuations
         self.counter = counter
+        self.book = PrefixBook(valuations) if book is None else book
         self.boxes = SupportBoxes(valuations)
         self.matrix = [[ZERO] * len(self.pieces) for _ in valuations]
         for j, p in enumerate(self.pieces):
             for i in self._meeting(p.lo, p.hi) if p is not None else ():
-                self.matrix[i][j] = hat_eval(valuations[i], p, counter)
+                self.matrix[i][j] = hat_eval(valuations[i], p, counter, self.book)
         self._index()
 
     def _meeting(self, lo: Fraction, hi: Fraction) -> set[int]:
@@ -212,7 +215,7 @@ class EnvyGraph:
         self.pieces[s] = piece
         m, succ = self.matrix, self.succ
         for i in self._meeting(piece.lo, old.lo) | self._meeting(old.hi, piece.hi):
-            m[i][s] = hat_eval(self.valuations[i], piece, self.counter)
+            m[i][s] = hat_eval(self.valuations[i], piece, self.counter, self.book)
             if i == s:
                 dropped = [j for j in succ[s] if m[s][j] <= m[s][s]]
                 succ[s].difference_update(dropped)

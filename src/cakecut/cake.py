@@ -289,18 +289,24 @@ class SupportBoxes:
         return -(-x.numerator * self.scale // x.denominator)
 
 
-def _check_point(x: Fraction, name: str) -> None:
+def check_point(x: Fraction, name: str) -> None:
+    """The refusal a query gives a point: ValidationError unless exact, ValueError outside [0,1]."""
     require_rational(name, x)
     if not 0 <= x.numerator <= x.denominator:
         raise ValueError(f"{name}={x} outside [0,1]")
 
 
-def eval_query(v: Valuation, x: Fraction, y: Fraction, counter: Optional[QueryCounter] = None) -> Fraction:
-    """Robertson-Webb evaluation query: the exact value of [x, y]."""
-    _check_point(x, "x")
-    _check_point(y, "y")
+def check_span(x: Fraction, y: Fraction) -> None:
+    """The refusals ``eval_query(v, x, y)`` gives, before it reads any mass."""
+    check_point(x, "x")
+    check_point(y, "y")
     if x.numerator * y.denominator > y.numerator * x.denominator:
         raise ValueError(f"eval_query needs x <= y, got {x} > {y}")
+
+
+def eval_query(v: Valuation, x: Fraction, y: Fraction, counter: Optional[QueryCounter] = None) -> Fraction:
+    """Robertson-Webb evaluation query: the exact value of [x, y]."""
+    check_span(x, y)
     if counter is not None:
         counter.eval_count += 1
     return v.value(x, y)
@@ -312,7 +318,7 @@ def cut_query(v: Valuation, x: Fraction, nu: Fraction, counter: Optional[QueryCo
     When no point of [x, 1] reaches the target value, the response is 1;
     callers must re-check the achieved value.  Requires nu in (0, 1).
     """
-    _check_point(x, "x")
+    check_point(x, "x")
     require_rational("nu", nu)
     if not 0 < nu.numerator < nu.denominator:
         raise ValueError(f"cut_query needs nu in (0,1), got {nu}")

@@ -48,7 +48,7 @@ from .cake import (
     open_unit,
 )
 from .allocation import EnvyGraph, unassigned_gaps
-from .hatvalue import hat_cut, hat_eval, hat_with_prefix
+from .hatvalue import PrefixBook, hat_cut, hat_eval, hat_ratio
 
 log = logging.getLogger(__name__)
 
@@ -138,23 +138,28 @@ class GapPool:
 
     Agents sharing a valuation name the same prefixes, so each gap lists its
     candidates by valuation id and queries once per id.  Answers the pool
-    already holds are not asked again: the mass of [0, lo] that the gap's hat
-    value asked goes on to ``hat_cut``, and the hat value ``hat_cut`` returns
-    with its point names the winner and becomes its hat value, so an
-    award asks nothing itself.  A gap is seeded only from valuations whose
-    support box meets it.  The boxes are ``SupportBoxes``, so the test is on
-    integers and exact: a support that only touches a gap at an endpoint is
-    never seeded.  The ids that still have members are kept in ``starts``,
-    sorted by ``(support_lo, id)``, so a reseed reads the ids whose support
-    starts inside the gap as one slice.
+    already holds are not asked again.  Its ``book`` (a ``PrefixBook``) holds
+    the masses P(x) of [0, x] that answers fixed, at live points only: 0, 1
+    and the ends of the current gaps and pieces.  A gap's hat value and
+    ``hat_cut`` read and teach it, ``award`` teaches it from the cuts whose
+    answer stays live, and ``_release`` drops the points a merge makes
+    interior.  The hat value ``hat_cut`` returns with its point names the
+    winner and becomes its hat value, so an award asks nothing itself.  A
+    gap is seeded only from valuations whose support box meets it.  The
+    boxes are ``SupportBoxes``, so the test is on integers and exact: a
+    support that only touches a gap at an endpoint is never seeded.  The ids
+    that still have members are kept in ``starts``, sorted by ``(support_lo,
+    id)``, so a reseed reads the ids whose support starts inside the gap as
+    one slice.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
-                 counter: Optional[QueryCounter] = None):
+                 counter: Optional[QueryCounter] = None, book: Optional[PrefixBook] = None):
         self.valuations = instance.valuations
         self.vids = instance.agent_ids
         self.step = step
         self.counter = counter
+        self.book = PrefixBook(self.valuations.values()) if book is None else book
         self.pieces: list[Piece] = [None] * instance.n
         self.hat_own: list[Fraction] = [ZERO] * instance.n
         # Agents below hat value 1 (a full agent never competes again), by id.
@@ -207,18 +212,22 @@ class GapPool:
         """Return [lo, hi] to the pool as one gap with its endpoint-adjacent neighbours.
 
         The merged gap is seeded afresh: a wider gap can interest ids
-        dropped earlier.
+        dropped earlier.  A merged end is no longer the end of a gap or piece,
+        so the book drops it.
         """
         gaps = self.gaps
         k = bisect_left(gaps, lo, key=lambda g: g.lo)
         if k < len(gaps) and gaps[k].lo == hi:
+            self.book.drop(hi)
             hi = gaps.pop(k).hi
         if k > 0 and gaps[k - 1].hi == lo:
+            self.book.drop(lo)
             k -= 1
             lo = gaps.pop(k).lo
         gaps.insert(k, self._seed(_Gap(lo, hi)))
 
-    def _best_claim(self, g: _Gap) -> Optional[tuple[Fraction, int, Fraction]]:
+    def _best_claim(self, g: _Gap, claims: Optional[list] = None
+                    ) -> Optional[tuple[Fraction, int, Fraction]]:
         """Shortest qualifying prefix of ``g`` as (endpoint, agent, hat value), if any.
 
         Walks the ids in mass-start order: once some id names a prefix
@@ -235,8 +244,12 @@ class GapPool:
         nu < 1/2 (nu < t <= 1/2, or nu <= 1 - rho < 1/2), met by exactly the
         members at rep's hat value, rep first, or with hat value 1, met by
         every candidate as reach <= 1, and then the first candidate wins.
+
+        The answers that name a point which stays live, the winning endpoint
+        (a tie across ids included) or the gap's end, go to ``claims`` when
+        it is given, as ``(valuation, endpoint, hat value)``.
         """
-        hat_own, step = self.hat_own, self.step
+        hat_own, step, counter, book = self.hat_own, self.step, self.counter, self.book
         best: Optional[tuple[Fraction, int, Fraction]] = None
         for start, vid in list(g.order):
             if best is not None and start >= best[0]:
@@ -244,32 +257,48 @@ class GapPool:
             v = self.valuations[vid]
             members = self.members[vid]
             if members:  # an id whose agents are all full asks nothing
-                reach, prefix = hat_with_prefix(v, g.lo, g.hi, self.counter)
-                room = reach - step
+                p, q, _ = hat_ratio(v, g.lo, g.hi, counter, book)  # reach = p/q
                 rep = min(members, key=hat_own.__getitem__)
-            if not members or hat_own[rep] > room:
+                nu = hat_own[rep] + step
+            if not members or nu.numerator * q > p * nu.denominator:  # rep is above room
                 g.order.remove((start, vid))
                 continue
-            claim = hat_cut(v, g.lo, hat_own[rep] + step, self.counter, prefix)
-            if claim is None or claim[0] > g.hi:
-                point = None if claim is None else claim[0]
-                raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
-                                   f"not a point of the gap {g.interval()}")
+            claim = hat_cut(v, g.lo, nu, counter, book)
+            if claim is None or claim[0] >= g.hi:
+                if claim is None or claim[0] > g.hi:
+                    point = None if claim is None else claim[0]
+                    raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
+                                       f"not a point of the gap {g.interval()}")
+                if claims is not None:
+                    claims.append((v, *claim))
             r, at_r = claim
-            winner = rep if at_r < 1 else next(i for i in members if hat_own[i] <= room)
+            if at_r < 1:
+                winner = rep
+            else:
+                room = Fraction(p, q) - step
+                winner = next(i for i in members if hat_own[i] <= room)
             # An agent appears under one id only, so (r, winner) never ties.
-            if best is None or (r, winner, at_r) < best:
-                best = (r, winner, at_r)
+            if best is None or r < best[0]:
+                best, at_best = (r, winner, at_r), [(v, r, at_r)]
+            elif r == best[0]:
+                at_best.append((v, r, at_r))
+                if winner < best[1]:
+                    best = (r, winner, at_r)
+        if claims is not None and best is not None:
+            claims += at_best
         return best
 
     def award(self) -> Optional[int]:
         """One growth iteration; returns the winner, or None if nobody qualifies.
 
         The leftmost gap with a qualifying agent loses its shortest qualifying
-        prefix to that agent, whose previous piece returns to the pool.
+        prefix to that agent, whose previous piece returns to the pool.  The
+        book learns from the scan's cuts that answered a point which stays
+        live, and from no other.
         """
+        claims: list[tuple[Valuation, Fraction, Fraction]] = []
         for k, g in enumerate(self.gaps):
-            if g.order and (claim := self._best_claim(g)) is not None:
+            if g.order and (claim := self._best_claim(g, claims)) is not None:
                 break
         else:
             return None  # exact exit condition: no (gap, agent) pair qualifies
@@ -279,6 +308,8 @@ class GapPool:
         if hat < self.hat_own[a] + self.step:
             raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
                                f"to {hat}, by less than {self.step}")
+        for v, y, at_y in claims:
+            self.book.learn_cut(v, g.lo, y, at_y)
         self.pieces[a] = piece
         self.hat_own[a] = hat
         if hat >= 1:
@@ -298,7 +329,7 @@ class GapPool:
 
 def phase_one(instance: Instance, config: SolverConfig,
               counter: Optional[QueryCounter] = None,
-              trace: Optional[Trace] = None) -> list[Piece]:
+              trace: Optional[Trace] = None, book: Optional[PrefixBook] = None) -> list[Piece]:
     """Growth phase: returns a partial allocation no gap can improve on.
 
     At exit, every agent values every remaining gap (under the hat
@@ -306,11 +337,13 @@ def phase_one(instance: Instance, config: SolverConfig,
     also stops after floor(n^2/delta) + 1 awards, one more than the proved
     bound allows, so a run that overruns fails the report's
     ``growth_iterations_within_budget`` check instead of looping on.
-    Without a ``trace`` it records into a fresh one.
+    Without a ``trace`` it records into a fresh one, and without a ``book``
+    the pool keeps a fresh one; ``solve`` hands the same book on to
+    ``phase_two``.
     """
     if trace is None:
         trace = Trace()
-    pool = GapPool(instance, config.delta / instance.n, counter)
+    pool = GapPool(instance, config.delta / instance.n, counter, book)
     budget = loop_budget(instance.n, config.delta)
     iterations = 0
     while iterations <= budget and (a := pool.award()) is not None:
@@ -324,7 +357,7 @@ def phase_one(instance: Instance, config: SolverConfig,
 
 def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
               counter: Optional[QueryCounter] = None,
-              trace: Optional[Trace] = None) -> list[Piece]:
+              trace: Optional[Trace] = None, book: Optional[PrefixBook] = None) -> list[Piece]:
     """Appending phase: feed gap crumbs to envy-graph sources until <= n gaps.
 
     The crumb from the source's right end ``r_s`` ends at the least of the
@@ -333,6 +366,11 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     asked: any other agent's cut ends at 1 or beyond its support start, not
     before x.  The envy graph asks only the agents whose support meets the
     piece, or the part it grows by (``EnvyGraph``).
+
+    The ``book`` (a ``PrefixBook``, fresh when none is given) goes to the
+    envy graph.  A cut that answered a point still live after the crumb, x
+    or the gap's end, teaches the book; the crumb makes r_s interior, so the
+    book drops it.  An empty crumb (x = r_s) teaches and drops nothing.
 
     Like the growth loop, it stops after floor(n^2/delta) + 1 iterations, so
     a run that overruns leaves more than n gaps and fails the report's
@@ -354,8 +392,8 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
         trace.snap("phase2_end", pieces, gaps, hats)
         return list(pieces)
 
-    graph = EnvyGraph(pieces, valuations, counter)
-    boxes = graph.boxes
+    graph = EnvyGraph(pieces, valuations, counter, book)
+    book, boxes = graph.book, graph.boxes
     step = config.delta / n
     budget = loop_budget(n, config.delta)
     iterations = 0
@@ -376,16 +414,25 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
             raise RuntimeError(f"source agent {s + 1} has no gap on its right at {r_s}")
         # x is the least cut so far: an agent whose support misses (r_s, x)
         # cannot cut short of it.
-        left, x, right = boxes.floor(r_s), ONE, boxes.scale
+        left, x, right, answers = boxes.floor(r_s), ONE, boxes.scale, []
         for v, lo, hi in zip(valuations, boxes.lo, boxes.hi):
-            if lo < right and hi > left and (y := cut_query(v, r_s, step, counter)) < x:
-                x, right = y, boxes.ceil(y)
-        if x >= gaps[k].hi:
+            if lo < right and hi > left:
+                y = cut_query(v, r_s, step, counter)
+                answers.append((v, y))
+                if y < x:
+                    x, right = y, boxes.ceil(y)
+        end = gaps[k].hi
+        if x >= end:
             x = gaps.pop(k).hi
             kind = "whole_gap"
         else:
-            gaps[k] = Interval(x, gaps[k].hi)
+            gaps[k] = Interval(x, end)
             kind = "crumb"
+        if x > r_s:
+            for v, y in answers:
+                if y == x or y == end:
+                    book.learn_cut(v, r_s, y, step)
+            book.drop(r_s)
         graph.grow(s, Interval(graph.pieces[s].lo, x))
         iterations += 1
         trace.event(2, kind, s, graph.pieces[s], graph.hats())
@@ -448,10 +495,11 @@ def solve(instance: Instance, config: SolverConfig,
     valuations = instance.agent_valuations()
     counter = QueryCounter()
     trace = Trace(level=config.trace_level)
+    book = PrefixBook(instance.valuations.values())
 
-    grown = phase_one(instance, config, counter, trace)
+    grown = phase_one(instance, config, counter, trace, book)
     checks = check_phase_invariants(grown, valuations, config.delta, "phase1_end")
-    partial = phase_two(grown, instance, config, counter, trace)
+    partial = phase_two(grown, instance, config, counter, trace, book)
     if partial == grown:
         # The invariants depend only on the pieces: phase 2 repeats phase 1's verdicts.
         checks += [Check("phase2_end:" + c.name.partition(":")[2], c.passed, c.witness)

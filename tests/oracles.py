@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from cakecut import (Interval, ValidationError, cut_query, eval_query, hat_eval,
+from cakecut import (Interval, PrefixBook, ValidationError, cut_query, eval_query, hat_eval,
                      is_bifurcating)
 from cakecut.allocation import unassigned_gaps
 
@@ -113,6 +113,93 @@ def literal_hat_cut(v, x, nu, counter=None):
         if is_bifurcating(v, Interval(x, y2), counter) and (best is None or y2 < best):
             best = y2
     return best
+
+
+class CheckingBook(PrefixBook):
+    """A ``PrefixBook`` that asks the kernel for every mass it hands out or learns.
+
+    Each mass the book answers with (``span`` and ``mass``, which every
+    derived eval P(y) - P(x) and every held rho of ``hat_cut`` read) and
+    each mass it is taught (``learn``) is compared with ``v.prefix(x)``, the
+    kernel's uncounted answer; a difference raises AssertionError.  ``reads``
+    counts the held masses handed out.
+    """
+
+    __slots__ = ("reads",)
+
+    def __init__(self, valuations=()):
+        super().__init__(valuations)
+        self.reads = 0
+
+    def _check(self, v, x, mass, verb):
+        if mass is not None and Fraction(*mass) != v.prefix(x):
+            raise AssertionError(f"the book {verb} P({x}) = {Fraction(*mass)}, "
+                                 f"the kernel {v.prefix(x)}")
+
+    def span(self, v, lo, hi):
+        held = super().span(v, lo, hi)
+        for key, mass in zip((lo, hi), held):
+            self.reads += mass is not None
+            self._check(v, Fraction(*key), mass, "holds")
+        return held
+
+    def mass(self, v, x):
+        held = super().mass(v, x)
+        self.reads += held is not None
+        self._check(v, x, held, "holds")
+        return held
+
+    def learn(self, v, x, p, q):
+        self._check(v, x, (p, q), "learns")
+        super().learn(v, x, p, q)
+
+
+def fixed_evals(questions):
+    """The counted evals whose two ends' masses earlier counted answers already fixed.
+
+    ``questions`` holds, in the order a solve made them, ``(valuation, (kind,
+    first argument, second argument))`` for each counted query and ``(None,
+    ("live", points, None))`` whenever the live points -- 0, 1 and the ends
+    of the pieces, as ``(numerator, denominator)`` -- may have changed.  A
+    ``CheckingBook`` replays them under the book's rules, asking the kernel
+    for each answer: P(0) = 0 and P(1) = 1; an eval with one end held
+    teaches the other; a cut from a held x that answers y < 1 teaches P(y) =
+    P(x) + target.  At each ``"live"`` entry it forgets every other point,
+    as a book that keeps masses at live points only does.  Returns
+    ``(valuation, x, y)`` for each eval(x, y) both of whose ends the replay
+    held.
+    """
+    book = CheckingBook()
+    fixed = []
+
+    def held(v, x):
+        mass = book.mass(v, x)
+        return None if mass is None else Fraction(*mass)
+
+    def learn(v, x, mass):
+        book.learn(v, x, mass.numerator, mass.denominator)
+
+    for v, (kind, x, b) in questions:
+        if kind == "live":
+            for point in [p for p in book.rows if p not in x]:
+                del book.rows[point]
+            continue
+        learn(v, Fraction(0), Fraction(0))
+        learn(v, Fraction(1), Fraction(1))
+        lo = held(v, x)
+        if kind == "eval_query":
+            hi = held(v, b)
+            if lo is not None and hi is not None:
+                fixed.append((v, x, b))
+            elif lo is not None:
+                learn(v, b, lo + v.value(x, b))
+            elif hi is not None:
+                learn(v, x, hi - v.value(x, b))
+        elif lo is not None:
+            y = v.leftmost_reach(x, b)
+            if y is not None and y < 1:
+                learn(v, y, lo + b)
+    return fixed
 
 
 def envy_matrix(pieces, valuations):

@@ -1,5 +1,6 @@
 """Gap computation, the envy graph and its cycle elimination."""
 
+import copy
 import re
 from collections import Counter
 from fractions import Fraction
@@ -142,14 +143,15 @@ def test_grow_matches_a_rebuilt_graph(pv, data):
 
     counter = QueryCounter()
     graph = EnvyGraph(pieces, vals, counter)
-    built = counter.eval_count
+    built, book = counter.eval_count, copy.deepcopy(graph.book)
     graph.grow(s, piece)
-    # one hat_eval per agent whose support meets an added part
+    # one hat_eval per agent whose support meets an added part, reading the
+    # book as the graph held it
     added = [(lo, hi) for lo, hi in [(piece.lo, old.lo), (old.hi, piece.hi)] if lo < hi]
     column = QueryCounter()
     for v in vals:
         if any(v.support_lo < hi and v.support_hi > lo for lo, hi in added):
-            hat_eval(v, piece, column)
+            hat_eval(v, piece, column, book)
     assert counter.eval_count - built == column.eval_count
     fresh = EnvyGraph(graph.pieces, vals)
     assert graph.pieces[s] == piece

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakecut.hatvalue
-from cakecut import (Interval, QueryCounter, ValidationError, Valuation, hat_cut, hat_eval,
-                     interval, is_bifurcating)
-from cakecut.hatvalue import hat_with_prefix
-from oracles import grid_hat_cut, literal_hat_cut, naive_hat
+from cakecut import (Interval, PrefixBook, QueryCounter, ValidationError, Valuation, hat_cut,
+                     hat_eval, interval, is_bifurcating)
+from oracles import CheckingBook, grid_hat_cut, literal_hat_cut, naive_hat
 from strategies import kernel_points, lattice_points, mixed_valuations, valuations
 
 UNIFORM = Valuation([Fraction(0), Fraction(1)], [Fraction(1)])
@@ -87,7 +86,35 @@ def test_hat_layer_refuses_floats():
             hat_cut(UNIFORM, x, nu)
     # with [0, 9/10] held, a target above [x, 1] asks no query at all
     with pytest.raises(ValidationError):
-        hat_cut(UNIFORM, 0.9, Fraction(1, 2), prefix=Fraction(9, 10))
+        hat_cut(UNIFORM, 0.9, Fraction(1, 2), None, held(UNIFORM, "9/10"))
+
+
+def held(v, *points) -> PrefixBook:
+    """A book over v that holds the mass of [0, x] at each point x."""
+    book = PrefixBook([v])
+    for x in map(Fraction, points):
+        book.learn(v, x, v.prefix(x).numerator, v.prefix(x).denominator)
+    return book
+
+
+@pytest.mark.parametrize("lo, hi, error", [
+    # 0 and 1 are held, yet the floats are still refused
+    (0.0, 1.0, ValidationError),
+    (Fraction(0), 1.0, ValidationError),
+    # both ends held, in the wrong order
+    (Fraction(3, 4), Fraction(1, 4), ValueError),
+    # the book never holds a point outside [0, 1]
+    (Fraction(0), Fraction(3, 2), ValueError),
+])
+def test_a_held_mass_lets_no_refused_point_through(lo, hi, error):
+    book = held(UNIFORM, "1/4", "3/4")
+    with pytest.raises(error) as derived:
+        hat_eval(UNIFORM, Interval(lo, hi), None, book)
+    with pytest.raises(error) as asked:
+        hat_eval(UNIFORM, Interval(lo, hi))
+    assert str(derived.value) == str(asked.value)
+    with pytest.raises(ValueError, match="outside"):
+        book.learn(UNIFORM, Fraction(3, 2), 1, 1)
 
 
 def test_hat_cut_above_one_is_unreachable():
@@ -199,20 +226,76 @@ def test_reused_answers_change_no_answer_and_are_not_asked_again(data, nu):
     v = data.draw(mixed_valuations())
     x = data.draw(kernel_points(v))
     fresh, reused = QueryCounter(), QueryCounter()
-    assert hat_cut(v, x, nu, reused, v.prefix(x)) == hat_cut(v, x, nu, fresh)
+    assert hat_cut(v, x, nu, reused, held(v, x)) == hat_cut(v, x, nu, fresh)
     assert reused.eval_count <= fresh.eval_count and reused.cut_count <= fresh.cut_count
 
 
 @given(mixed_valuations(), st.data())
-def test_hat_with_prefix_hands_back_the_prefix_it_asked(v, data):
+def test_a_hat_value_teaches_the_book_the_masses_it_asked(v, data):
     lo, hi = sorted([data.draw(kernel_points(v)), data.draw(kernel_points(v))])
-    counter = QueryCounter()
-    hat, prefix = hat_with_prefix(v, lo, hi, counter)
-    assert hat == hat_eval(v, Interval(lo, hi))
-    # the prefix is asked exactly when [lo, hi] is worth 1/4 or more
-    assert (prefix is None) == (v.value(lo, hi) < Fraction(1, 4))
-    assert prefix is None or prefix == v.prefix(lo)
-    assert counter.eval_count == 1 + (prefix is not None)
+    book, counter = CheckingBook([v]), QueryCounter()
+    assert hat_eval(v, Interval(lo, hi), counter, book) == hat_eval(v, Interval(lo, hi))
+    # 0 and 1 are held from the start; else the mass of [0, lo] is asked
+    # exactly when [lo, hi] is worth 1/4 or more, and either end teaches the other
+    ends = lo == 0 or hi == 1 or v.value(lo, hi) >= Fraction(1, 4)
+    assert (book.mass(v, lo) is not None, book.mass(v, hi) is not None) == (ends, ends)
+    assert counter.eval_count == (0 if {lo, hi} <= {0, 1} else
+                                  1 + (lo != 0 and hi != 1 and v.value(lo, hi) >= Fraction(1, 4)))
+    # asked again with both ends held, it is derived and asks nothing
+    again = QueryCounter()
+    assert hat_eval(v, Interval(lo, hi), again, book) == hat_eval(v, Interval(lo, hi))
+    assert again.eval_count == (0 if ends else counter.eval_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_valuations(), st.lists(st.data(), min_size=1, max_size=1))
+def test_a_derived_hat_value_is_the_asked_one(v, draws):
+    """With any two held points, hat_eval asks nothing and answers as the kernel does."""
+    data = draws[0]
+    lo, hi = sorted([data.draw(kernel_points(v)), data.draw(kernel_points(v))])
+    book, counter = held(v, lo, hi), QueryCounter()
+    assert hat_eval(v, Interval(lo, hi), counter, book) == hat_eval(v, Interval(lo, hi))
+    assert counter.eval_count == 0
+
+
+def test_the_book_refuses_a_contradicting_mass_and_keeps_the_held_one():
+    book = held(UNIFORM, "1/4")
+    with pytest.raises(RuntimeError, match="held as 1/4"):
+        book.learn(UNIFORM, Fraction(1, 4), 1, 3)
+    assert book.mass(UNIFORM, Fraction(1, 4)) == (1, 4)
+    # the same mass again, in other terms, is no contradiction
+    book.learn(UNIFORM, Fraction(1, 4), 2, 8)
+
+
+@pytest.mark.parametrize("x, y, target, learned", [
+    # a cut that lands inside the cake teaches P(y) = P(x) + target
+    ("1/4", "1/2", "1/4", (1, 2)),
+    # target 1 stands for hat_cut's threshold max(1/4, 1/2 - P(x)): here 1/4
+    ("1/4", "1/2", "1", (1, 2)),
+    # and here 1/2 - P(x), so P(y) = 1/2
+    ("1/8", "1/2", "1", (1, 2)),
+    # an answer of 1 may be a clamp ([3/4, 1] holds 1/4 < 1/2), so it teaches nothing
+    ("3/4", "1", "1/2", (1, 1)),
+])
+def test_a_cut_from_a_held_point_teaches_its_answer_below_one(x, y, target, learned):
+    book = held(UNIFORM, x)
+    book.learn_cut(UNIFORM, Fraction(x), Fraction(y), Fraction(target))
+    assert book.mass(UNIFORM, Fraction(y)) == learned
+    # from a point not held, nothing is learned
+    book = PrefixBook([UNIFORM])
+    book.learn_cut(UNIFORM, Fraction(x), Fraction(y), Fraction(target))
+    assert book.mass(UNIFORM, Fraction(y)) == (None if y != "1" else (1, 1))
+
+
+def test_a_dropped_point_is_forgotten_for_every_valuation():
+    other = Valuation(["0", "1/2", "1"], ["2", "0"])
+    book = PrefixBook([UNIFORM, other])
+    for v in (UNIFORM, other):
+        book.learn(v, Fraction(1, 4), v.prefix(Fraction(1, 4)).numerator,
+                   v.prefix(Fraction(1, 4)).denominator)
+    book.drop(Fraction(1, 4))
+    assert book.mass(UNIFORM, Fraction(1, 4)) is None and book.mass(other, Fraction(1, 4)) is None
+    assert set(book.rows) == {(0, 1), (1, 1)}
 
 
 # [0, 1/4] holds 1/2, [1/4, 1/2] nothing and [1/2, 1] the other 1/2
@@ -242,9 +325,9 @@ def test_hat_cut_at_each_threshold_is_the_literal_point_with_one_cut(x, rho, nu)
     assert BOUNDARY.prefix(x) == rho
     assert BOUNDARY.leftmost_reach(Fraction(0), Fraction(1, 2)) == Fraction(1, 4)
     point = literal_hat_cut(BOUNDARY, x, nu)
-    for prefix, evals in [(None, 1), (rho, 0)]:
+    for book, evals in [(None, 1), (held(BOUNDARY, x), 0)]:
         counter = QueryCounter()
-        claim = hat_cut(BOUNDARY, x, nu, counter, prefix)
+        claim = hat_cut(BOUNDARY, x, nu, counter, book)
         assert claim == (None if point is None
                          else (point, hat_eval(BOUNDARY, Interval(x, point))))
         assert (counter.eval_count, counter.cut_count) == (evals, claim is not None)

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakecut.solver
-from cakecut import (GeneratorSpec, Instance, QueryCounter, SolverConfig, Trace, ValidationError,
-                     Valuation, generate, hat_eval, interval, merge_final, phase_one, phase_two,
-                     solve, solve_mult)
+from cakecut import (EnvyGraph, GeneratorSpec, Instance, QueryCounter, SolverConfig, Trace,
+                     ValidationError, Valuation, generate, hat_eval, interval, merge_final,
+                     phase_one, phase_two, solve, solve_mult)
 from cakecut.serialize import allocation_to_obj, dumps_canonical
 from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
-from oracles import worst_envy
+from oracles import CheckingBook, fixed_evals, worst_envy
 from reference_solver import appending_phase, growth_phase
 from strategies import instances, lattice_points
 
@@ -439,6 +439,29 @@ class TestGapPool:
             if pool.award() is None:
                 break
 
+    @staticmethod
+    def live_points(pool: GapPool) -> set:
+        """0, 1 and the ends of every gap and piece, as (numerator, denominator)."""
+        ends = [x for p in pool.pieces if p is not None for x in p]
+        ends += [x for g in pool.gaps for x in (g.lo, g.hi)]
+        return {(0, 1), (1, 1)} | {(x.numerator, x.denominator) for x in ends}
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances(), st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 80)]))
+    def test_the_book_holds_masses_at_live_points_only(self, instance, delta):
+        pool = GapPool(instance, delta / instance.n)
+        while pool.award() is not None:
+            assert set(pool.book.rows) <= self.live_points(pool)
+
+    def test_the_book_stays_as_small_as_the_partition_over_many_awards(self):
+        pool = GapPool(generate(GeneratorSpec(n=12, family="blocks", seed=7)), Fraction(1, 240))
+        awards = 0
+        while pool.award() is not None:
+            awards += 1
+            # every gap ends at a piece or at 0 or 1
+            assert set(pool.book.rows) <= self.live_points(pool) and len(pool.book.rows) <= 2 * 12 + 2
+        assert awards > 500
+
     def test_an_id_leaves_the_index_when_its_last_agent_fills(self):
         valuations = {"u": self.UNIFORM, "right": Valuation(["0", "1/2", "1"], ["0", "2"])}
         pool = GapPool(Instance(valuations, ["u", "right"]), Fraction(1, 2))
@@ -492,56 +515,60 @@ def test_solve_mult_reports_ratio_checks():
 # moves any of these counts or bytes must say why.
 C = Fraction(1, 10)
 PINNED_RUNS = [
-    (2, "random", 1000, "c", C, (377, 174, 84, 20, 0),
-     "a04e90fd5cd2ccc5da1b2ead641034c374ed361acfbf9464a7bbb7f1295dd3e7"),
-    (3, "identical", 1001, "c", C, (275, 147, 147, 0, 0),
-     "890d41b3e4470b27f1663f51aa1131a95e3f85ab6703818f22e0500fcc2ae74d"),
-    (4, "blocks", 1002, "c", C, (1113, 564, 324, 240, 0),
-     "057d2c22dee9e293f2e964668b1398964a8df43e62ed52e5542c2ff05e5c4914"),
-    (5, "grouped", 1003, "c", C, (1051, 539, 306, 0, 0),
-     "4ee07a23eee16f1f7f347b5ea5e6dcaf0e61702bfb5b5284359008e9c1430c26"),
-    (6, "random", 1004, "c", C, (4246, 2163, 403, 0, 0),
-     "4c857bcef244fc5504b4d9bfc1268358c46d08622421f77d474423be0f55d04f"),
-    (2, "identical", 1005, "c", C, (173, 83, 83, 0, 0),
-     "76cc05ebdbdaa7fe09249f304e1f2d5effecbd982ad96107c45b06f7d1acbd2e"),
-    (3, "blocks", 1006, "c", C, (706, 363, 183, 180, 0),
-     "bf5f009577f6f23a99f5dfc1501242b7d70fa955dc9cb2dba73ad2248a974c35"),
-    (4, "grouped", 1007, "c", C, (684, 365, 186, 0, 0),
-     "ac801603fbb78997a5c9b9433b2f7ac800d60002dbfae3b06f6b81cc01a5a8ce"),
-    (5, "random", 1008, "c", C, (2629, 1240, 296, 0, 0),
-     "543aa685227d6cd12ffdc7b03d4dfd7034c92475946f3fdd1f53c8cbed022674"),
-    (6, "identical", 1009, "c", C, (543, 297, 297, 0, 0),
-     "f64c9091ba377ef9ef7dec396a37a233bd48c415bcba2c57a7050a2d25430a0a"),
-    (2, "blocks", 1010, "c", C, (381, 200, 80, 120, 0),
-     "16f576459e88b7e3d8cc1742eb98fb7b1ea9eb5c6a3b0f3160a85a2a4401eb2b"),
-    (3, "grouped", 1011, "c", C, (581, 285, 147, 0, 0),
-     "9ded48153ee5aeee296f0ef1558c0b2575ae5a3484bc7142160542b8412f623e"),
-    (4, "random", 1012, "c", C, (1615, 751, 256, 0, 0),
-     "2b8a657612df0f3d2609fc6f4a029e25387d035b52e3fe389198dfbfea5fba52"),
-    (5, "identical", 1013, "c", C, (452, 292, 292, 0, 0),
-     "ae899d09a505ed5e510411663cdc9e8f69095a10e218f25f18c1f9f50cc8c4fa"),
-    (6, "blocks", 1014, "c", C, (2191, 1086, 726, 360, 0),
-     "c0344e9d1c83b017055cd8e169c338a5138ec934d98bb242619c037266ab15ac"),
-    (2, "grouped", 1015, "c", C, (468, 242, 74, 47, 0),
-     "446a6cffeaf0fa3286cd6b87b13493ea530417f4cdbbb91e0ebd3faab9530ac7"),
-    (3, "random", 1016, "c", C, (963, 412, 170, 0, 0),
-     "108ebbc01c5ffad347fa6deae7da5057cb43c2b15c28bee5bd3917634156cd80"),
-    (4, "identical", 1017, "c", C, (367, 217, 217, 0, 0),
-     "dbb4f04ba87faf19faf4f522216cc9605f854b562122fedf4e01fb26e76e51e9"),
-    (5, "blocks", 1018, "c", C, (1601, 800, 500, 300, 0),
-     "446983e107776164e340006153799280ec25090ef17689503e7acfa71dd0e690"),
-    (6, "grouped", 1019, "c", C, (1042, 610, 317, 0, 0),
-     "d334a4103f39178af04cecb5f6e3dcb0116a55fe799ba1967d0766f2c7f91f81"),
-    (50, "grouped", 7, "delta", DELTA, (1906, 863, 524, 0, 0),
-     "b23f307dbe65d2a4ce1e070bbd067fab689eab3943b3d0e5705b8cafeb7afe5a"),
-    (30, "blocks", 7, "delta", Fraction(1, 20), (10651, 4980, 4530, 450, 0),
-     "80a9f3aae4210e939e05aed2dd49980e822d89d8ab23dda997d5fd703ac21c03"),
+    (2, "random", 1000, "c", C, (62, 174, 84, 20, 0),
+     "96600c821feffc150b34fcab8eaaab8dca5875b05509e45681a8cde9a7c06c2a"),
+    (3, "identical", 1001, "c", C, (0, 147, 147, 0, 0),
+     "e9b8827e04826493cf1c02f98f052f6044dbc2d929917e6f014df3d6809281ff"),
+    (4, "blocks", 1002, "c", C, (83, 564, 324, 240, 0),
+     "6a2daf451a9619a56f4ba1841a888415b931ab6c5aa81eb43638dc7facc0b2c8"),
+    (5, "grouped", 1003, "c", C, (248, 539, 306, 0, 0),
+     "48191f12b3bea1c5fd2bf13f1cc41f5197aff5bb29f9aa296a91051f36299d75"),
+    (6, "random", 1004, "c", C, (1651, 2163, 403, 0, 0),
+     "3cacb39bd76283a589561ea0771b57cd9cd76b97e0ce93a19b9b820d7a138490"),
+    (2, "identical", 1005, "c", C, (0, 83, 83, 0, 0),
+     "59be6c001d94c6de8d7b6d39baf624f5c5a5c88ff19fbc60a8b8f6d504f2d138"),
+    (3, "blocks", 1006, "c", C, (63, 363, 183, 180, 0),
+     "82efbc19d8ff5c10e2937a1d7953b4c32459c2e9034a9e9f9f055f90caf6600f"),
+    (4, "grouped", 1007, "c", C, (160, 365, 186, 0, 0),
+     "814d1364bbde5bad0fa18146259dd192a080b19ffaed8664181a2ed824ecb25b"),
+    (5, "random", 1008, "c", C, (845, 1240, 296, 0, 0),
+     "63e2bd7178e527f77a9dd41d8ba86e9d5ebfbdb181f09d8b827ad47904ee5d52"),
+    (6, "identical", 1009, "c", C, (0, 297, 297, 0, 0),
+     "86d55af355ebb819ba66e02a8ef6a65421a62e54ada32fe1ad65a81bec405214"),
+    (2, "blocks", 1010, "c", C, (42, 200, 80, 120, 0),
+     "2f3fcd118db03da554853404db0568b45b4c7d52524dbcb4da1229a7d487a624"),
+    (3, "grouped", 1011, "c", C, (122, 285, 147, 0, 0),
+     "e49779b2281c4555f21bf284eef79fad357097cd535564f80aa88ffa835ff925"),
+    (4, "random", 1012, "c", C, (474, 751, 256, 0, 0),
+     "fb32ebac40afa1504b4f1df0a32ac1dafb7ac54244bfcb512ceeadd23f236874"),
+    (5, "identical", 1013, "c", C, (0, 292, 292, 0, 0),
+     "cc58e758c51ee36e19b87064879e040e41046ee51f9495eadfa9898bc56b0d7e"),
+    (6, "blocks", 1014, "c", C, (126, 1086, 726, 360, 0),
+     "0c9f8752e95c8fbcb8b5a24fbc81231799ed4e5b07e3f90d3b1bcd7f46d19d89"),
+    (2, "grouped", 1015, "c", C, (102, 242, 74, 47, 0),
+     "3493f1c9e5aa004c022320c90ef7f56553f41ab5e238c04ab2f4acb6a8d6e89c"),
+    (3, "random", 1016, "c", C, (194, 412, 170, 0, 0),
+     "7c0d58792aec0fa3931430deed4c58ba67d0012fa5b2d82b445b132a8cc499dc"),
+    (4, "identical", 1017, "c", C, (0, 217, 217, 0, 0),
+     "76c8ad85e41682c98f21d8892114e0a562994ef6b31940daa2865f5a65dda6f5"),
+    (5, "blocks", 1018, "c", C, (105, 800, 500, 300, 0),
+     "4d842fb06333d499192f6c09db8d08b8745dcda7d388793f977fe45a508c9275"),
+    (6, "grouped", 1019, "c", C, (270, 610, 317, 0, 0),
+     "c420322a56722c90a1ae2d4fbfa34cc9888ecb1c6dc81b343707a1cf9388f6b5"),
+    (50, "grouped", 7, "delta", DELTA, (457, 863, 524, 0, 0),
+     "cd15cbfa52702d3cf2288742091bf24713dca04f7104120c8f2fa207cf101730"),
+    (30, "blocks", 7, "delta", Fraction(1, 20), (180, 4980, 4530, 450, 0),
+     "a4b4911f594debf0c893407c03d9175fd88bbce9ccf31cd22dd32554576cc648"),
 ]
 
 
 @pytest.mark.parametrize("n, family, seed, key, value, counts, digest", PINNED_RUNS,
                          ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in PINNED_RUNS])
-def test_query_counts_and_file_bytes_are_pinned(n, family, seed, key, value, counts, digest):
+def test_query_counts_and_file_bytes_are_pinned(monkeypatch, n, family, seed, key, value,
+                                                 counts, digest):
+    """The pinned counts and bytes, with a ``CheckingBook`` that asks the kernel for every
+    mass the solve's book holds."""
+    books = checking_books(monkeypatch)
     instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
     if key == "c":
         pieces, _, report = solve_mult(instance, value)
@@ -551,6 +578,26 @@ def test_query_counts_and_file_bytes_are_pinned(n, family, seed, key, value, cou
             report.phase2_iterations, report.cycle_rotations) == counts
     text = dumps_canonical(allocation_to_obj(pieces, report.params, report))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(books) == 1 and books[0].reads > 0
+
+
+def checking_books(monkeypatch) -> list:
+    """Make every solve's book a ``CheckingBook``; returns the books made."""
+    books = []
+    monkeypatch.setattr(cakecut.solver, "PrefixBook",
+                        lambda valuations: books.append(CheckingBook(valuations)) or books[-1])
+    return books
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_n=5), st.sampled_from([Fraction(1, 10), Fraction(1, 80)]))
+def test_a_checking_book_finds_every_held_mass_right_and_changes_nothing(inst, delta):
+    config = SolverConfig(delta=delta, trace_level="full")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        books = checking_books(monkeypatch)
+        checked = solve(inst, config)
+    plain = solve(inst, config)
+    assert len(books) == 1 and checked == plain
 
 
 class QueryLog:
@@ -561,11 +608,15 @@ class QueryLog:
     ``GapPool._best_claim`` and ``hat_cut`` in named spans.  Each record is
     ``(spans, hat_cut call number or None, valuation, question, counted)``
     where ``question`` is ``(kind, first argument, second argument)``, and
-    ``starts[k]`` is the point x that hat_cut call k cut from.
+    ``starts[k]`` is the point x that hat_cut call k cut from.  After each
+    ``GapPool.award`` and ``EnvyGraph.grow``, ``live`` gets ``(number of
+    records so far, live points)``: 0, 1 and the ends of the pieces, which
+    include every gap's ends.
     """
 
     def __init__(self, monkeypatch):
         self.records = []
+        self.live = []
         self.spans = []
         self.calls = 0
         self.starts = {}
@@ -578,6 +629,8 @@ class QueryLog:
                             (cakecut.solver, "hat_cut"), (GapPool, "award"),
                             (GapPool, "_best_claim")]:
             monkeypatch.setattr(owner, attr, self.span(attr, getattr(owner, attr)))
+        for owner, attr in [(GapPool, "award"), (EnvyGraph, "grow")]:
+            monkeypatch.setattr(owner, attr, self.moved(getattr(owner, attr)))
 
     def query(self, kind, real):
         def asked(v, a, b, counter=None):
@@ -586,6 +639,29 @@ class QueryLog:
                                  (kind, a, b), counter is not None))
             return real(v, a, b, counter)
         return asked
+
+    def questions(self) -> list:
+        """The counted queries and the live-point notes, in order, as ``fixed_evals`` reads them."""
+        notes = iter(self.live)
+        note = next(notes, None)
+        out = []
+        for k, (_, _, v, question, counted) in enumerate(self.records):
+            while note is not None and note[0] == k:
+                out.append((None, ("live", note[1], None)))
+                note = next(notes, None)
+            if counted:
+                out.append((v, question))
+        return out
+
+    def moved(self, real):
+        """``real``, noting the live points once it returns."""
+        def noted(holder, *args):
+            result = real(holder, *args)
+            ends = {(x.numerator, x.denominator) for p in holder.pieces if p is not None
+                    for x in p}
+            self.live.append((len(self.records), ends | {(0, 1), (1, 1)}))
+            return result
+        return noted
 
     def span(self, name, real):
         def spanned(*args, **kwargs):
@@ -608,8 +684,9 @@ class QueryLog:
 def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key, value, counts,
                                                digest):
     """At most one cut and no eval but eval(0, x) or eval(x, 1) in a hat cut, no repeat in a
-    hat cut, nothing asked by ``award`` itself, no query of either phase left uncounted, and
-    no appending cut from a point where the agent's support has ended."""
+    hat cut, nothing asked by ``award`` itself, no query of either phase left uncounted, no
+    appending cut from a point where the agent's support has ended, and no counted eval whose
+    two ends' masses earlier counted answers of the same valuation fixed at live points."""
     instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
     log = QueryLog(monkeypatch)
     if key == "c":
@@ -629,3 +706,4 @@ def test_a_solve_asks_each_fixed_question_once(monkeypatch, n, family, seed, key
     assert hidden == []
     assert all(q[1] < v.support_hi for spans, _, v, q, _ in log.records
                if "phase_two" in spans and q[0] == "cut_query")
+    assert fixed_evals(log.questions()) == []
