@@ -31,6 +31,7 @@ import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional, Sequence
 
 from .audit import AuditReport, Check, build_report, check_phase_invariants, loop_budget
@@ -151,6 +152,12 @@ class GapPool:
     that still have members are kept in ``starts``, sorted by ``(support_lo,
     id)``, so a reseed reads the ids whose support starts inside the gap as
     one slice.
+
+    ``members[vid]`` lists the id's agents below hat value 1 sorted by
+    ``(hat_own[i], i)``, so its lowest agent is ``members[vid][0]``, and
+    ``target[i]`` caches ``hat_own[i] + step``, the least hat value agent i
+    may claim.  Both follow ``hat_own`` because ``set_hat`` is the one place
+    that writes it.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -162,7 +169,9 @@ class GapPool:
         self.book = PrefixBook(self.valuations.values()) if book is None else book
         self.pieces: list[Piece] = [None] * instance.n
         self.hat_own: list[Fraction] = [ZERO] * instance.n
-        # Agents below hat value 1 (a full agent never competes again), by id.
+        self.target: list[Fraction] = [step] * instance.n
+        # Agents below hat value 1 (a full agent never competes again), by id;
+        # every hat value is 0, so index order is (hat value, index) order.
         self.members: dict[str, list[int]] = {}
         for i, vid in enumerate(self.vids):
             self.members.setdefault(vid, []).append(i)
@@ -174,6 +183,25 @@ class GapPool:
         self.starts = sorted((self.valuations[vid].support_lo, vid) for vid in ids)
         self.start_keys = [self.boxes.floor(lo) for lo, _ in self.starts]
         self.gaps: list[_Gap] = [self._seed(_Gap(ZERO, ONE))]
+
+    def set_hat(self, a: int, hat: Fraction) -> None:
+        """Write agent a's hat value, its ``target`` and its place in ``members``.
+
+        Below hat value 1 the agent is re-inserted at its ``(hat value,
+        index)`` place; at hat value 1 it leaves ``members``, and an id left
+        without members leaves ``starts``.  A full agent is in no id's order
+        and is never written again.
+        """
+        hat_own, vid = self.hat_own, self.vids[a]
+        members = self.members[vid]
+        members.remove(a)
+        hat_own[a] = hat
+        self.target[a] = hat + self.step
+        if hat < 1:
+            insort(members, a, key=lambda i: (hat_own[i], i))
+        elif not members:
+            j = self.starts.index((self.valuations[vid].support_lo, vid))
+            del self.starts[j], self.start_keys[j]
 
     def _seed(self, g: _Gap) -> _Gap:
         """Rebuild g's candidates from every valuation with mass inside it.
@@ -197,26 +225,52 @@ class GapPool:
         return g
 
     def _carve(self, g: _Gap, r: Fraction) -> None:
-        """Remove the awarded prefix [g.lo, r] from the gap (r < g.hi)."""
+        """Remove the awarded prefix [g.lo, r] from the gap (r < g.hi).
+
+        Mass-start points left of the new edge, the front run of ``g.order``,
+        must be recomputed; the rest are untouched (mass that began at or
+        beyond r still begins there).  A moved id whose mass continues at r
+        joins the entries already at r, by id; only a later start is
+        inserted by bisection.
+        """
         g.lo = r
-        # Mass-start points left of the new edge must be recomputed; the rest
-        # are untouched (mass that began at or beyond r still begins there).
-        k = bisect_left(g.order, (r,))
-        moved, g.order[:k] = g.order[:k], []
+        order, rn, rd = g.order, r.numerator, r.denominator
+        # the ids whose mass starts below r, compared on integers, lead the order
+        k = next((j for j, (s, _) in enumerate(order)
+                  if s.numerator * rd >= rn * s.denominator), len(order))
+        moved, order[:k] = order[:k], []
+        at_r = []
         for _, vid in moved:
             start = self.valuations[vid].next_mass(r)
-            if start is not None and start < g.hi:  # else no mass is left inside the gap
-                insort(g.order, (start, vid))
+            if start is None or start >= g.hi:
+                continue  # no mass is left inside the gap
+            if start.numerator * rd == rn * start.denominator:
+                at_r.append(vid)
+            else:
+                insort(order, (start, vid))
+        if at_r:
+            k = next((j for j, (s, _) in enumerate(order)
+                      if s.numerator * rd != rn * s.denominator), len(order))
+            order[:k] = [(r, vid) for vid in sorted(at_r + [vid for _, vid in order[:k]])]
 
     def _release(self, lo: Fraction, hi: Fraction) -> None:
         """Return [lo, hi] to the pool as one gap with its endpoint-adjacent neighbours.
 
         The merged gap is seeded afresh: a wider gap can interest ids
         dropped earlier.  A merged end is no longer the end of a gap or piece,
-        so the book drops it.
+        so the book drops it.  The gaps are found by bisection on integers:
+        ``g.lo < lo`` is ``g.lo.numerator * b < a * g.lo.denominator``.
         """
         gaps = self.gaps
-        k = bisect_left(gaps, lo, key=lambda g: g.lo)
+        a, b = lo.numerator, lo.denominator
+        k, j = 0, len(gaps)
+        while k < j:
+            m = (k + j) // 2
+            x = gaps[m].lo
+            if x.numerator * b < a * x.denominator:
+                k = m + 1
+            else:
+                j = m
         if k < len(gaps) and gaps[k].lo == hi:
             self.book.drop(hi)
             hi = gaps.pop(k).hi
@@ -233,23 +287,25 @@ class GapPool:
         Walks the ids in mass-start order: once some id names a prefix
         endpoint, any id whose mass begins at or beyond it cannot name a
         strictly shorter one, so it is skipped without queries.  An id's
-        candidates are its members (agents below hat value 1, by index) at
-        hat value ``room = reach - step`` or less, reach being the gap's hat
-        value.  The id qualifies when ``rep``, its first member of least hat
-        value, does; else it leaves ``g.order`` and cannot qualify again
+        candidates are its members (agents below hat value 1, sorted by
+        ``(hat value, index)``) whose cached ``target`` is at most reach, the
+        gap's hat value: a front run of ``members``, compared on integers.
+        The id qualifies when ``rep = members[0]``, its first member of least
+        hat value, does; else it leaves ``g.order`` and cannot qualify again
         before the gap is reseeded: in the growth phase hat values of pieces
         only rise, and carving only lowers the gap's hat value (plain values
         shrink, and an interval containing a bifurcating one is bifurcating
         itself).  ``hat_cut`` answers rep's target nu <= reach with hat value
         nu < 1/2 (nu < t <= 1/2, or nu <= 1 - rho < 1/2), met by exactly the
         members at rep's hat value, rep first, or with hat value 1, met by
-        every candidate as reach <= 1, and then the first candidate wins.
+        every candidate as reach <= 1, and then the candidate of least index
+        wins.  ``nu`` is ``target[rep]``, so the scan builds no Fraction.
 
         The answers that name a point which stays live, the winning endpoint
         (a tie across ids included) or the gap's end, go to ``claims`` when
         it is given, as ``(valuation, endpoint, hat value)``.
         """
-        hat_own, step, counter, book = self.hat_own, self.step, self.counter, self.book
+        target, counter, book = self.target, self.counter, self.book
         best: Optional[tuple[Fraction, int, Fraction]] = None
         for start, vid in list(g.order):
             if best is not None and start >= best[0]:
@@ -258,8 +314,8 @@ class GapPool:
             members = self.members[vid]
             if members:  # an id whose agents are all full asks nothing
                 p, q, _ = hat_ratio(v, g.lo, g.hi, counter, book)  # reach = p/q
-                rep = min(members, key=hat_own.__getitem__)
-                nu = hat_own[rep] + step
+                rep = members[0]
+                nu = target[rep]
             if not members or nu.numerator * q > p * nu.denominator:  # rep is above room
                 g.order.remove((start, vid))
                 continue
@@ -275,8 +331,9 @@ class GapPool:
             if at_r < 1:
                 winner = rep
             else:
-                room = Fraction(p, q) - step
-                winner = next(i for i in members if hat_own[i] <= room)
+                # the candidates, target <= reach, are a front run of members
+                winner = min(takewhile(
+                    lambda i: target[i].numerator * q <= p * target[i].denominator, members))
             # An agent appears under one id only, so (r, winner) never ties.
             if best is None or r < best[0]:
                 best, at_best = (r, winner, at_r), [(v, r, at_r)]
@@ -305,19 +362,13 @@ class GapPool:
         r, a, hat = claim
         released = self.pieces[a]
         piece = Interval(g.lo, r)
-        if hat < self.hat_own[a] + self.step:
+        if hat < self.target[a]:
             raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
                                f"to {hat}, by less than {self.step}")
         for v, y, at_y in claims:
             self.book.learn_cut(v, g.lo, y, at_y)
         self.pieces[a] = piece
-        self.hat_own[a] = hat
-        if hat >= 1:
-            vid = self.vids[a]
-            self.members[vid].remove(a)
-            if not self.members[vid]:
-                j = self.starts.index((self.valuations[vid].support_lo, vid))
-                del self.starts[j], self.start_keys[j]
+        self.set_hat(a, hat)
         if r < g.hi:
             self._carve(g, r)
         else:

@@ -355,7 +355,7 @@ class TestGapPool:
 
     def test_release_merges_both_neighbours_and_reseeds_a_dropped_group(self):
         pool = self.pool({"u": self.UNIFORM}, [("0", "1/4"), ("1/2", "3/4")])
-        pool.hat_own[0] = Fraction(1, 4)
+        pool.set_hat(0, Fraction(1, 4))
         left = pool.gaps[0]
         # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its id is dropped
         assert pool._best_claim(left) is None and left.order == []
@@ -372,12 +372,28 @@ class TestGapPool:
         (("9/20", "2/5", "2/5"), ("1/2", 0, "1")),
         # index 0 is above room, so the hat-1 prefix skips it
         (("19/20", "2/5", "9/20"), ("1/2", 1, "1")),
+        # index 0 sits exactly at room = 9/10, so it is a candidate and wins
+        (("9/10", "2/5", "2/5"), ("1/2", 0, "1")),
     ])
     def test_the_claim_names_rep_or_the_first_candidate_at_hat_value_one(self, hats, claim):
         pool = GapPool(Instance({"u": self.UNIFORM}, ["u"] * 3), Fraction(1, 10))
-        pool.hat_own = [Fraction(h) for h in hats]
+        for i, h in enumerate(hats):
+            pool.set_hat(i, Fraction(h))
         r, winner, at_r = claim
         assert pool._best_claim(pool.gaps[0]) == (Fraction(r), winner, Fraction(at_r))
+
+    def test_set_hat_keeps_members_by_hat_then_index_and_caches_targets(self):
+        valuations = {"u": self.UNIFORM, "right": Valuation(["0", "1/2", "1"], ["0", "2"])}
+        pool = GapPool(Instance(valuations, ["u", "u", "u", "right"]), Fraction(1, 10))
+        # index 0 reaches the hat value of index 2 after it: ties go by index
+        for a, hat in [(2, "1/5"), (0, "1/5"), (1, "1/10")]:
+            pool.set_hat(a, Fraction(hat))
+        assert pool.members["u"] == [1, 0, 2]
+        assert pool.target == [Fraction(3, 10), Fraction(1, 5), Fraction(3, 10), Fraction(1, 10)]
+        # at hat value 1 an agent leaves, and its id leaves starts with its last agent
+        pool.set_hat(3, Fraction(1))
+        assert pool.members["right"] == [] and [vid for _, vid in pool.starts] == ["u"]
+        assert pool.target[3] == Fraction(11, 10)
 
     def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
         valuations = {
@@ -394,6 +410,42 @@ class TestGapPool:
         assert peeks == [Fraction(1, 2)] * 2
         assert gap.order == [(Fraction(1, 2), "all"), (Fraction(1, 2), "at"),
                              (Fraction(3, 4), "after")]
+
+    @pytest.mark.parametrize("valuations, before, after", [
+        # "b" and "a" move in that order and both continue at 1/2, where "at"
+        # already starts: the three are merged by id
+        ({"b": UNIFORM,
+          "a": Valuation(["0", "1/4", "1"], ["0", "4/3"]),
+          "at": Valuation(["0", "1/2", "1"], ["0", "2"]),
+          "after": Valuation(["0", "3/4", "1"], ["0", "4"])},
+         [("0", "b"), ("1/4", "a"), ("1/2", "at"), ("3/4", "after")],
+         [("1/2", "b"), ("1/2", "a"), ("1/2", "at"), ("3/4", "after")]),
+        # "hole" has no mass on (1/4, 5/8): it moves to 5/8, between 1/2 and 3/4
+        ({"all": UNIFORM,
+          "hole": Valuation(["0", "1/4", "5/8", "1"], ["2", "0", "4/3"]),
+          "after": Valuation(["0", "3/4", "1"], ["0", "4"])},
+         [("0", "all"), ("0", "hole"), ("3/4", "after")],
+         [("1/2", "all"), ("5/8", "hole"), ("3/4", "after")]),
+    ])
+    def test_carve_puts_each_moved_id_at_its_sorted_place(self, valuations, before, after):
+        pool = self.pool(valuations, [("0", "1")])
+        gap = pool.gaps[0]
+        assert gap.order == [(Fraction(x), vid) for x, vid in before]
+        pool._carve(gap, Fraction(1, 2))
+        assert gap.order == sorted((Fraction(x), vid) for x, vid in after)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 80)]))
+    def test_members_and_targets_follow_every_award(self, instance, delta):
+        step = delta / instance.n
+        pool = GapPool(instance, step)
+        while True:
+            for vid in set(pool.vids):
+                below = [i for i, v in enumerate(pool.vids) if v == vid and pool.hat_own[i] < 1]
+                assert pool.members[vid] == sorted(below, key=lambda i: (pool.hat_own[i], i))
+            assert pool.target == [h + step for h in pool.hat_own]
+            if pool.award() is None:
+                break
 
     def test_a_support_touching_a_gap_at_an_endpoint_is_never_seeded(self, monkeypatch):
         valuations = {
