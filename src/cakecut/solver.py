@@ -142,22 +142,23 @@ class GapPool:
     already holds are not asked again.  Its ``book`` (a ``PrefixBook``) holds
     the masses P(x) of [0, x] that answers fixed, at live points only: 0, 1
     and the ends of the current gaps and pieces.  A gap's hat value and
-    ``hat_cut`` read and teach it, ``award`` teaches it from the cuts whose
-    answer stays live, and ``_release`` drops the points a merge makes
-    interior.  The hat value ``hat_cut`` returns with its point names the
-    winner and becomes its hat value, so an award asks nothing itself.  A
-    gap is seeded only from valuations whose support box meets it.  The
-    boxes are ``SupportBoxes``, so the test is on integers and exact: a
-    support that only touches a gap at an endpoint is never seeded.  The ids
-    that still have members are kept in ``starts``, sorted by ``(support_lo,
-    id)``, so a reseed reads the ids whose support starts inside the gap as
-    one slice.
+    ``hat_cut`` read and teach it, ``award`` teaches it the winning
+    endpoint from the lessons ``_best_claim`` returns, and ``_release`` drops
+    the points a merge makes interior.  The hat value ``hat_cut`` returns
+    with its point names the winner and becomes its hat value, so an award
+    asks nothing itself.  A gap is seeded only from valuations whose support
+    box meets it.  The boxes are ``SupportBoxes``, so the test is on
+    integers and exact: a support that only touches a gap at an endpoint is
+    never seeded.  The ids that still have members are kept in ``starts``,
+    sorted by ``(support_lo, id)``, so a reseed reads the ids whose support
+    starts inside the gap as one slice.
 
     ``members[vid]`` lists the id's agents below hat value 1 sorted by
     ``(hat_own[i], i)``, so its lowest agent is ``members[vid][0]``, and
     ``target[i]`` caches ``hat_own[i] + step``, the least hat value agent i
     may claim.  Both follow ``hat_own`` because ``set_hat`` is the one place
-    that writes it.
+    that writes it; ``award`` checks each raise against ``hat_own``, so a
+    stale target raises at its first award.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -258,19 +259,12 @@ class GapPool:
 
         The merged gap is seeded afresh: a wider gap can interest ids
         dropped earlier.  A merged end is no longer the end of a gap or piece,
-        so the book drops it.  The gaps are found by bisection on integers:
-        ``g.lo < lo`` is ``g.lo.numerator * b < a * g.lo.denominator``.
+        so the book drops it.  The first gap with ``g.lo >= lo`` is found by
+        one bisection on integers, ``g.lo.numerator * b >= a * g.lo.denominator``.
         """
         gaps = self.gaps
         a, b = lo.numerator, lo.denominator
-        k, j = 0, len(gaps)
-        while k < j:
-            m = (k + j) // 2
-            x = gaps[m].lo
-            if x.numerator * b < a * x.denominator:
-                k = m + 1
-            else:
-                j = m
+        k = bisect_left(gaps, True, key=lambda g: g.lo.numerator * b >= a * g.lo.denominator)
         if k < len(gaps) and gaps[k].lo == hi:
             self.book.drop(hi)
             hi = gaps.pop(k).hi
@@ -280,9 +274,9 @@ class GapPool:
             lo = gaps.pop(k).lo
         gaps.insert(k, self._seed(_Gap(lo, hi)))
 
-    def _best_claim(self, g: _Gap, claims: Optional[list] = None
-                    ) -> Optional[tuple[Fraction, int, Fraction]]:
-        """Shortest qualifying prefix of ``g`` as (endpoint, agent, hat value), if any.
+    def _best_claim(self, g: _Gap) -> tuple[Optional[tuple[Fraction, int, Fraction]],
+                                            list[tuple[Valuation, Fraction]]]:
+        """Shortest qualifying prefix of ``g`` as (endpoint, agent, hat value), and its lessons.
 
         Walks the ids in mass-start order: once some id names a prefix
         endpoint, any id whose mass begins at or beyond it cannot name a
@@ -301,12 +295,14 @@ class GapPool:
         every candidate as reach <= 1, and then the candidate of least index
         wins.  ``nu`` is ``target[rep]``, so the scan builds no Fraction.
 
-        The answers that name a point which stays live, the winning endpoint
-        (a tie across ids included) or the gap's end, go to ``claims`` when
-        it is given, as ``(valuation, endpoint, hat value)``.
+        The claim is None when no id qualifies.  The lessons are ``(valuation,
+        hat value)`` for every id whose cut answered the winning endpoint, a
+        tie across ids included: the endpoint stays live, so ``award`` teaches
+        the book its mass from each.
         """
         target, counter, book = self.target, self.counter, self.book
         best: Optional[tuple[Fraction, int, Fraction]] = None
+        lessons: list[tuple[Valuation, Fraction]] = []
         for start, vid in list(g.order):
             if best is not None and start >= best[0]:
                 break  # mass starts too far right to beat the current prefix
@@ -320,13 +316,10 @@ class GapPool:
                 g.order.remove((start, vid))
                 continue
             claim = hat_cut(v, g.lo, nu, counter, book)
-            if claim is None or claim[0] >= g.hi:
-                if claim is None or claim[0] > g.hi:
-                    point = None if claim is None else claim[0]
-                    raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
-                                       f"not a point of the gap {g.interval()}")
-                if claims is not None:
-                    claims.append((v, *claim))
+            if claim is None or claim[0] > g.hi:
+                point = None if claim is None else claim[0]
+                raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
+                                   f"not a point of the gap {g.interval()}")
             r, at_r = claim
             if at_r < 1:
                 winner = rep
@@ -336,38 +329,38 @@ class GapPool:
                     lambda i: target[i].numerator * q <= p * target[i].denominator, members))
             # An agent appears under one id only, so (r, winner) never ties.
             if best is None or r < best[0]:
-                best, at_best = (r, winner, at_r), [(v, r, at_r)]
+                best, lessons = (r, winner, at_r), [(v, at_r)]
             elif r == best[0]:
-                at_best.append((v, r, at_r))
+                lessons.append((v, at_r))
                 if winner < best[1]:
                     best = (r, winner, at_r)
-        if claims is not None and best is not None:
-            claims += at_best
-        return best
+        return best, lessons
 
     def award(self) -> Optional[int]:
         """One growth iteration; returns the winner, or None if nobody qualifies.
 
         The leftmost gap with a qualifying agent loses its shortest qualifying
         prefix to that agent, whose previous piece returns to the pool.  The
-        book learns from the scan's cuts that answered a point which stays
-        live, and from no other.
+        book learns the winning endpoint's mass from the scan's lessons, the
+        cuts that answered it.
         """
-        claims: list[tuple[Valuation, Fraction, Fraction]] = []
         for k, g in enumerate(self.gaps):
-            if g.order and (claim := self._best_claim(g, claims)) is not None:
+            if g.order and (found := self._best_claim(g))[0] is not None:
                 break
         else:
             return None  # exact exit condition: no (gap, agent) pair qualifies
-        r, a, hat = claim
-        released = self.pieces[a]
-        piece = Interval(g.lo, r)
-        if hat < self.target[a]:
-            raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
+        (r, a, hat), lessons = found
+        own = self.hat_own[a]
+        # hat >= own + step on integers: the check reads hat_own, not the target it guards
+        (c, d), (p, q) = hat.as_integer_ratio(), own.as_integer_ratio()
+        s, t = self.step.as_integer_ratio()
+        if c * q * t < d * (p * t + s * q):
+            raise RuntimeError(f"award raises agent {a + 1}'s hat value from {own} "
                                f"to {hat}, by less than {self.step}")
-        for v, y, at_y in claims:
-            self.book.learn_cut(v, g.lo, y, at_y)
-        self.pieces[a] = piece
+        for v, at_r in lessons:
+            self.book.learn_cut(v, g.lo, r, at_r)
+        released = self.pieces[a]
+        self.pieces[a] = Interval(g.lo, r)
         self.set_hat(a, hat)
         if r < g.hi:
             self._carve(g, r)
@@ -422,6 +415,9 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     envy graph.  A cut that answered a point still live after the crumb, x
     or the gap's end, teaches the book; the crumb makes r_s interior, so the
     book drops it.  An empty crumb (x = r_s) teaches and drops nothing.
+    With nothing to append, the snapshot's hat values are read from the
+    book, which after ``phase_one`` holds both ends of every piece; a mass it
+    lacks is asked without the counter.
 
     Like the growth loop, it stops after floor(n^2/delta) + 1 iterations, so
     a run that overruns leaves more than n gaps and fails the report's
@@ -434,13 +430,8 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     n = instance.n
     gaps = unassigned_gaps(pieces)
     if len(gaps) <= n:
-        # Nothing to append: phase 2 ends where phase 1 did.  Within a solve
-        # the phase-1 snapshot holds these pieces' hat values, so the phase
-        # asks no query for its snapshot, counted or not.
-        last = trace.snapshots[-1] if trace.snapshots else None
-        hats = last.hat_values if last is not None and last.pieces == list(pieces) else \
-            [hat_eval(v, p) for v, p in zip(valuations, pieces)]
-        trace.snap("phase2_end", pieces, gaps, hats)
+        trace.snap("phase2_end", pieces, gaps,
+                   [hat_eval(v, p, None, book) for v, p in zip(valuations, pieces)])
         return list(pieces)
 
     graph = EnvyGraph(pieces, valuations, counter, book)

@@ -117,6 +117,21 @@ def test_a_held_mass_lets_no_refused_point_through(lo, hi, error):
         book.learn(UNIFORM, Fraction(3, 2), 1, 1)
 
 
+@pytest.mark.parametrize("x, nu, claim", [
+    # nu >= 1/4 asks rho as eval(0, x)
+    ("1/10", "1/4", ("7/20", "1/4")),
+    # nu < 1/4 and the cut answers 1: eval(x, 1) tells a reach from a clamp
+    ("9/10", "1/10", ("1", "1/10")),
+    ("19/20", "1/10", None),
+])
+def test_hat_cut_teaches_the_book_the_mass_it_asks(x, nu, claim):
+    book, counter, x = PrefixBook([UNIFORM]), QueryCounter(), Fraction(x)
+    assert hat_cut(UNIFORM, x, Fraction(nu), counter, book) == (
+        None if claim is None else tuple(map(Fraction, claim)))
+    assert (counter.eval_count, counter.cut_count) == (1, 1)
+    assert book.mass(UNIFORM, x) == UNIFORM.prefix(x).as_integer_ratio()
+
+
 def test_hat_cut_above_one_is_unreachable():
     assert hat_cut(UNIFORM, Fraction(0), Fraction(9, 8)) is None
 

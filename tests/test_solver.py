@@ -358,12 +358,12 @@ class TestGapPool:
         pool.set_hat(0, Fraction(1, 4))
         left = pool.gaps[0]
         # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its id is dropped
-        assert pool._best_claim(left) is None and left.order == []
+        assert pool._best_claim(left)[0] is None and left.order == []
         pool._release(Fraction(1, 4), Fraction(1, 2))
         assert [g.interval() for g in pool.gaps] == [interval(0, "3/4")]
         assert pool.gaps[0].order == [(Fraction(0), "u")] and pool.members["u"] == [0]
         # [0, 7/20] leaves 13/20 on its right, so its hat value is its plain value
-        assert pool._best_claim(pool.gaps[0]) == (Fraction(7, 20), 0, Fraction(7, 20))
+        assert pool._best_claim(pool.gaps[0])[0] == (Fraction(7, 20), 0, Fraction(7, 20))
 
     @pytest.mark.parametrize("hats, claim", [
         # rep, index 1 (least hat, then least index), wins on its plain target 1/5
@@ -380,7 +380,29 @@ class TestGapPool:
         for i, h in enumerate(hats):
             pool.set_hat(i, Fraction(h))
         r, winner, at_r = claim
-        assert pool._best_claim(pool.gaps[0]) == (Fraction(r), winner, Fraction(at_r))
+        assert pool._best_claim(pool.gaps[0])[0] == (Fraction(r), winner, Fraction(at_r))
+
+    def test_cuts_tied_at_the_winning_endpoint_all_teach_the_book(self):
+        # "late" has no mass before 1/20, yet its cut for 1/10 also ends at 1/10
+        late = Valuation(["0", "1/20", "1/10", "1"], ["0", "2", "1"])
+        pool = GapPool(Instance({"u": self.UNIFORM, "late": late}, ["late", "u"]), DELTA)
+        r = Fraction(1, 10)
+        # "u" answers first; the tie goes to the least index, the "late" agent
+        assert pool._best_claim(pool.gaps[0]) == ((r, 0, r), [(self.UNIFORM, r), (late, r)])
+        assert pool.book.mass(self.UNIFORM, r) is None and pool.book.mass(late, r) is None
+        assert pool.award() == 0
+        assert pool.book.mass(self.UNIFORM, r) == pool.book.mass(late, r) == (1, 10)
+
+    def test_a_stale_target_raises_at_its_first_award(self, monkeypatch):
+        set_hat = GapPool.set_hat
+
+        def stale(pool, a, hat):
+            old = pool.target[a]
+            set_hat(pool, a, hat)
+            pool.target[a] = old
+        monkeypatch.setattr(GapPool, "set_hat", stale)
+        with pytest.raises(RuntimeError, match="by less than"):
+            phase_one(generate(GeneratorSpec(n=5, seed=3)), SolverConfig(delta=DELTA))
 
     def test_set_hat_keeps_members_by_hat_then_index_and_caches_targets(self):
         valuations = {"u": self.UNIFORM, "right": Valuation(["0", "1/2", "1"], ["0", "2"])}
