@@ -263,20 +263,21 @@ class Valuation:
 class SupportBoxes:
     """The supports ``[support_lo, support_hi]`` of some valuations, on one integer scale.
 
-    ``scale`` is the lcm of the support endpoints' denominators, so ``lo[k]``
-    and ``hi[k]``, valuation k's endpoints times ``scale``, are integers.
-    Valuation k's support meets the open interval (x, y) exactly when
-    ``lo[k] < ceil(y)`` and ``hi[k] > floor(x)``: the test is on integers and
-    exact, and a support that only touches the interval at an end does not
-    meet it.  Scale each end once per interval, not once per valuation.
-    Outside its support a valuation has no mass, so one that misses (x, y)
-    values it at 0.
+    ``scale`` is the lcm of the valuations' breakpoint denominators, so every
+    breakpoint times ``scale`` is an integer.  A support's ends are
+    breakpoints, so ``lo[k]`` and ``hi[k]``, valuation k's ends times
+    ``scale``, are exact.  Valuation k's support meets the open interval
+    (x, y) exactly when ``lo[k] < ceil(y)`` and ``hi[k] > floor(x)``: the
+    test is on integers and exact, and a support that only touches the
+    interval at an end does not meet it.  Scale each end once per interval,
+    not once per valuation.  Outside its support a valuation has no mass, so
+    one that misses (x, y) values it at 0.
     """
 
     __slots__ = ("scale", "lo", "hi")
 
     def __init__(self, valuations: Sequence[Valuation]):
-        self.scale = lcm(*[x.denominator for v in valuations for x in (v.support_lo, v.support_hi)])
+        self.scale = lcm(*[v._D for v in valuations])
         self.lo = [self.floor(v.support_lo) for v in valuations]
         self.hi = [self.floor(v.support_hi) for v in valuations]
 

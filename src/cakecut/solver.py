@@ -7,8 +7,8 @@ valuation) at least ``delta/n`` above its own piece, take the leftmost such
 gap, let every qualifying agent name the shortest gap prefix meeting its
 raised target, and hand the shortest of those prefixes to its agent --
 releasing whatever that agent held before.  Each award raises the winner's
-hat value by at least ``delta/n`` and hat values never exceed 1, so the loop
-runs at most ``n^2/delta`` times.
+hat value by exactly ``delta/n``, or to 1, and hat values never exceed 1, so
+the loop runs at most ``n^2/delta`` times.
 
 *Appending phase.*  While more than ``n`` gaps remain, make the envy graph
 acyclic by rotating pieces along envy cycles, pick its lowest-index source,
@@ -31,7 +31,7 @@ import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import takewhile
+from math import floor
 from typing import Optional, Sequence
 
 from .audit import AuditReport, Check, build_report, check_phase_invariants, loop_budget
@@ -116,26 +116,42 @@ class Trace:
             self.events.append(TraceEvent(phase, kind, agent, piece, tuple(hats)))
 
 
+# The order key of a mass start at a gap's left end: below every breakpoint's.
+AT_LO = -1
+
+
 class _Gap:
     """One unassigned interval and the ids that may still claim a prefix of it.
 
-    ``order`` holds ``(mass start, id)`` for each such id, sorted so a scan
-    can stop once no later id could name a shorter prefix.  An id's
-    candidates are not kept here: they are its agents in ``GapPool.members``.
+    ``lo_n/lo_d`` and ``hi_n/hi_d`` cache the ends' numerators and
+    denominators, so the pool compares ends on integers.  ``order`` holds
+    ``(key, id)`` for each id that may claim, sorted so a scan can stop once
+    no later id could name a shorter prefix.  The key is the id's mass start
+    in the gap on the pool's breakpoint scale: ``AT_LO`` when the mass starts
+    at ``lo``, else the breakpoint where it starts, times the scale.  An
+    id's candidates are not kept here: they are its agents in
+    ``GapPool.members``.
     """
 
-    __slots__ = ("lo", "hi", "order")
+    __slots__ = ("lo", "hi", "lo_n", "lo_d", "hi_n", "hi_d", "order")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         self.lo, self.hi = lo, hi
-        self.order: list[tuple[Fraction, str]] = []
+        self.lo_n, self.lo_d, self.hi_n, self.hi_d = (lo.numerator, lo.denominator,
+                                                      hi.numerator, hi.denominator)
+        self.order: list[tuple[int, str]] = []
 
     def interval(self) -> Interval:
         return Interval(self.lo, self.hi)
 
 
+def _first_from(gaps: Sequence[_Gap], n: int, d: int) -> int:
+    """The position of the first gap with ``lo >= n/d`` in a cake-ordered list."""
+    return bisect_left(gaps, True, key=lambda g: g.lo_n * d >= n * g.lo_d)
+
+
 class GapPool:
-    """State of the growth phase: pieces, hat values and the sorted gaps.
+    """State of the growth phase: pieces, hat levels and the sorted gaps.
 
     Agents sharing a valuation name the same prefixes, so each gap lists its
     candidates by valuation id and queries once per id.  Answers the pool
@@ -146,19 +162,29 @@ class GapPool:
     endpoint from the lessons ``_best_claim`` returns, and ``_release`` drops
     the points a merge makes interior.  The hat value ``hat_cut`` returns
     with its point names the winner and becomes its hat value, so an award
-    asks nothing itself.  A gap is seeded only from valuations whose support
-    box meets it.  The boxes are ``SupportBoxes``, so the test is on
-    integers and exact: a support that only touches a gap at an endpoint is
-    never seeded.  The ids that still have members are kept in ``starts``,
-    sorted by ``(support_lo, id)``, so a reseed reads the ids whose support
-    starts inside the gap as one slice.
+    asks nothing itself.
 
-    ``members[vid]`` lists the id's agents below hat value 1 sorted by
-    ``(hat_own[i], i)``, so its lowest agent is ``members[vid][0]``, and
-    ``target[i]`` caches ``hat_own[i] + step``, the least hat value agent i
-    may claim.  Both follow ``hat_own`` because ``set_hat`` is the one place
-    that writes it; ``award`` checks each raise against ``hat_own``, so a
-    stale target raises at its first award.
+    Every award raises its winner's hat value by exactly ``step`` or to 1,
+    so an agent below hat value 1 sits at an integer *level* L, its hat value
+    being L * step, and may claim its *target* (L + 1) * step.  ``level``
+    holds each agent's level (at hat value 1, its hat value over the step
+    rounded down), and ``members[vid]`` lists the id's agents below hat value
+    1 as sorted ``(level, index)`` pairs, so its lowest agent is
+    ``members[vid][0]``.  ``hat_own`` keeps the hat values as Fractions for
+    the trace.  ``set_hat`` is the one writer of all three; ``award``
+    checks each raise against ``level``, so a stale member raises at its
+    first award.
+
+    Mass starts are breakpoints or a gap's left end, since that is all
+    ``next_mass`` and a support's start can be, so a gap's ``order`` keys
+    them as integers on one ``scale``, the lcm of the breakpoint
+    denominators (``SupportBoxes.scale``).  A gap is seeded only from
+    valuations whose support box meets it, so a support that only touches a
+    gap at an endpoint is never seeded.  The ids that still have members are
+    kept in ``starts`` as ``(support_lo * scale, id)``, sorted, so a reseed
+    reads the ids whose support starts inside the gap as one slice.  ``gaps``
+    lists the gaps in cake order, and ``live`` lists, also in cake order,
+    those whose ``order`` is not empty: the only gaps an award can take from.
     """
 
     def __init__(self, instance: Instance, step: Fraction,
@@ -166,93 +192,114 @@ class GapPool:
         self.valuations = instance.valuations
         self.vids = instance.agent_ids
         self.step = step
+        self.step_n, self.step_d = step.numerator, step.denominator
         self.counter = counter
         self.book = PrefixBook(self.valuations.values()) if book is None else book
         self.pieces: list[Piece] = [None] * instance.n
         self.hat_own: list[Fraction] = [ZERO] * instance.n
-        self.target: list[Fraction] = [step] * instance.n
-        # Agents below hat value 1 (a full agent never competes again), by id;
-        # every hat value is 0, so index order is (hat value, index) order.
-        self.members: dict[str, list[int]] = {}
+        self.level: list[int] = [0] * instance.n
+        # Agents below hat value 1 (a full agent never competes again), by id.
+        self.members: dict[str, list[tuple[int, int]]] = {}
         for i, vid in enumerate(self.vids):
-            self.members.setdefault(vid, []).append(i)
+            self.members.setdefault(vid, []).append((0, i))
         ids = list(self.members)
-        self.boxes = SupportBoxes([self.valuations[vid] for vid in ids])
-        self.box_hi = dict(zip(ids, self.boxes.hi))
-        # (support_lo, id) of every id with members -- exactly the order entry
-        # of a gap its support starts inside -- and the integer box_lo keys.
-        self.starts = sorted((self.valuations[vid].support_lo, vid) for vid in ids)
-        self.start_keys = [self.boxes.floor(lo) for lo, _ in self.starts]
+        boxes = SupportBoxes([self.valuations[vid] for vid in ids])
+        self.scale = boxes.scale
+        self.box_lo, self.box_hi = dict(zip(ids, boxes.lo)), dict(zip(ids, boxes.hi))
+        self.starts = sorted(zip(boxes.lo, ids))
+        # target Fractions by level, made the first time a level claims
+        self.targets: dict[int, Fraction] = {}
         self.gaps: list[_Gap] = [self._seed(_Gap(ZERO, ONE))]
+        self.live = [g for g in self.gaps if g.order]
 
     def set_hat(self, a: int, hat: Fraction) -> None:
-        """Write agent a's hat value, its ``target`` and its place in ``members``.
+        """Write agent a's hat value, its level and its place in ``members``.
 
-        Below hat value 1 the agent is re-inserted at its ``(hat value,
-        index)`` place; at hat value 1 it leaves ``members``, and an id left
-        without members leaves ``starts``.  A full agent is in no id's order
-        and is never written again.
+        Below hat value 1 the hat value must be a multiple of ``step``
+        (ValueError otherwise), and the agent is re-inserted at its
+        ``(level, index)`` place; at hat value 1 it leaves ``members``, and
+        an id left without members leaves ``starts``.  A full agent is in no
+        id's order and is never written again.
         """
-        hat_own, vid = self.hat_own, self.vids[a]
+        vid = self.vids[a]
         members = self.members[vid]
-        members.remove(a)
-        hat_own[a] = hat
-        self.target[a] = hat + self.step
-        if hat < 1:
-            insort(members, a, key=lambda i: (hat_own[i], i))
+        del members[bisect_left(members, (self.level[a], a))]
+        self.hat_own[a] = hat
+        c, d = hat.numerator, hat.denominator
+        level, off = divmod(c * self.step_d, d * self.step_n)
+        self.level[a] = level
+        if c < d:
+            if off:
+                raise ValueError(f"hat value {hat} is not a multiple of the step {self.step}")
+            insort(members, (level, a))
         elif not members:
-            j = self.starts.index((self.valuations[vid].support_lo, vid))
-            del self.starts[j], self.start_keys[j]
+            self.starts.remove((self.box_lo[vid], vid))
 
     def _seed(self, g: _Gap) -> _Gap:
         """Rebuild g's candidates from every valuation with mass inside it.
 
         When ``g.lo <= support_lo < g.hi`` the mass start is ``support_lo``
         itself, so those ids arrive from ``starts`` as one slice already in
-        ``(start, id)`` order, with no peek.  Only the ids whose support
-        straddles ``g.lo`` are peeked with ``next_mass`` and inserted.
+        ``(key, id)`` order, with no peek; a support starting at ``g.lo`` is
+        re-keyed ``AT_LO``.  Only the ids whose support straddles ``g.lo`` are
+        peeked with ``next_mass`` and inserted.  The caller files g in
+        ``gaps`` and ``live``.
         """
-        boxes = self.boxes
-        lo, first, hi = boxes.floor(g.lo), boxes.ceil(g.lo), boxes.ceil(g.hi)
-        k = bisect_left(self.start_keys, first)
-        order = self.starts[k:bisect_left(self.start_keys, hi, k)]
-        for _, vid in self.starts[:k]:
+        scale, starts = self.scale, self.starts
+        lo = g.lo_n * scale // g.lo_d
+        first, hi = -(-g.lo_n * scale // g.lo_d), -(-g.hi_n * scale // g.hi_d)
+        k = bisect_left(starts, (first,))
+        order = starts[k:bisect_left(starts, (hi,), k)]
+        if lo == first:  # g.lo is on the scale: a support may start at it
+            j = bisect_left(order, (lo + 1,))
+            order[:j] = [(AT_LO, vid) for _, vid in order[:j]]
+        for _, vid in starts[:k]:
             if self.box_hi[vid] > lo:
                 # Mass lies right of g.lo inside the box, so start is not None.
-                start = self.valuations[vid].next_mass(g.lo)
-                if start < g.hi:
-                    insort(order, (start, vid))
+                key = self._start_key(g, self.valuations[vid].next_mass(g.lo))
+                if key < hi:
+                    insort(order, (key, vid))
         g.order = order
         return g
+
+    def _start_key(self, g: _Gap, start: Fraction) -> int:
+        """The order key of a mass start ``next_mass(g.lo)`` in g."""
+        n, d = start.numerator, start.denominator
+        return AT_LO if n == g.lo_n and d == g.lo_d else n * (self.scale // d)
 
     def _carve(self, g: _Gap, r: Fraction) -> None:
         """Remove the awarded prefix [g.lo, r] from the gap (r < g.hi).
 
-        Mass-start points left of the new edge, the front run of ``g.order``,
-        must be recomputed; the rest are untouched (mass that began at or
-        beyond r still begins there).  A moved id whose mass continues at r
-        joins the entries already at r, by id; only a later start is
-        inserted by bisection.
+        Mass starts left of the new edge, the front run of ``g.order`` found
+        by one bisection, must be recomputed; the rest are untouched (mass
+        that began at or beyond r still begins there).  Starts at r, whether
+        kept or recomputed, become ``AT_LO``, merged by id; only a later
+        start is inserted by bisection.  A gap left with no id leaves
+        ``live``.
         """
-        g.lo = r
-        order, rn, rd = g.order, r.numerator, r.denominator
-        # the ids whose mass starts below r, compared on integers, lead the order
-        k = next((j for j, (s, _) in enumerate(order)
-                  if s.numerator * rd >= rn * s.denominator), len(order))
-        moved, order[:k] = order[:k], []
-        at_r = []
+        g.lo, g.lo_n, g.lo_d = r, r.numerator, r.denominator
+        scale, order = self.scale, g.order
+        edge = -(-g.lo_n * scale // g.lo_d)  # a key below it starts left of r
+        k = bisect_left(order, (edge,))
+        moved, rest = order[:k], order[k:]
+        at_lo = []
+        if edge * g.lo_d == g.lo_n * scale:  # r is on the scale: a start may sit at it
+            j = bisect_left(rest, (edge + 1,))
+            at_lo = [vid for _, vid in rest[:j]]
+            del rest[:j]
+        hi = -(-g.hi_n * scale // g.hi_d)
         for _, vid in moved:
             start = self.valuations[vid].next_mass(r)
-            if start is None or start >= g.hi:
+            if start is None:
                 continue  # no mass is left inside the gap
-            if start.numerator * rd == rn * start.denominator:
-                at_r.append(vid)
-            else:
-                insort(order, (start, vid))
-        if at_r:
-            k = next((j for j, (s, _) in enumerate(order)
-                      if s.numerator * rd != rn * s.denominator), len(order))
-            order[:k] = [(r, vid) for vid in sorted(at_r + [vid for _, vid in order[:k]])]
+            key = self._start_key(g, start)
+            if key == AT_LO:
+                at_lo.append(vid)
+            elif key < hi:
+                insort(rest, (key, vid))
+        g.order = [(AT_LO, vid) for vid in sorted(at_lo)] + rest
+        if not g.order:
+            self.live.remove(g)
 
     def _release(self, lo: Fraction, hi: Fraction) -> None:
         """Return [lo, hi] to the pool as one gap with its endpoint-adjacent neighbours.
@@ -260,112 +307,136 @@ class GapPool:
         The merged gap is seeded afresh: a wider gap can interest ids
         dropped earlier.  A merged end is no longer the end of a gap or piece,
         so the book drops it.  The first gap with ``g.lo >= lo`` is found by
-        one bisection on integers, ``g.lo.numerator * b >= a * g.lo.denominator``.
+        one bisection on integers, and the merged gap enters ``live`` at its
+        cake place, found the same way, when it has candidates.
         """
-        gaps = self.gaps
+        gaps, live = self.gaps, self.live
         a, b = lo.numerator, lo.denominator
-        k = bisect_left(gaps, True, key=lambda g: g.lo.numerator * b >= a * g.lo.denominator)
-        if k < len(gaps) and gaps[k].lo == hi:
+        k = _first_from(gaps, a, b)
+        if k < len(gaps) and gaps[k].lo_n == hi.numerator and gaps[k].lo_d == hi.denominator:
             self.book.drop(hi)
-            hi = gaps.pop(k).hi
-        if k > 0 and gaps[k - 1].hi == lo:
+            right = gaps.pop(k)
+            if right.order:
+                live.remove(right)
+            hi = right.hi
+        if k > 0 and gaps[k - 1].hi_n == a and gaps[k - 1].hi_d == b:
             self.book.drop(lo)
             k -= 1
-            lo = gaps.pop(k).lo
-        gaps.insert(k, self._seed(_Gap(lo, hi)))
+            left = gaps.pop(k)
+            if left.order:
+                live.remove(left)
+            lo = left.lo
+        g = self._seed(_Gap(lo, hi))
+        gaps.insert(k, g)
+        if g.order:
+            live.insert(_first_from(live, g.lo_n, g.lo_d), g)
 
     def _best_claim(self, g: _Gap) -> tuple[Optional[tuple[Fraction, int, Fraction]],
                                             list[tuple[Valuation, Fraction]]]:
         """Shortest qualifying prefix of ``g`` as (endpoint, agent, hat value), and its lessons.
 
         Walks the ids in mass-start order: once some id names a prefix
-        endpoint, any id whose mass begins at or beyond it cannot name a
-        strictly shorter one, so it is skipped without queries.  An id's
-        candidates are its members (agents below hat value 1, sorted by
-        ``(hat value, index)``) whose cached ``target`` is at most reach, the
-        gap's hat value: a front run of ``members``, compared on integers.
-        The id qualifies when ``rep = members[0]``, its first member of least
-        hat value, does; else it leaves ``g.order`` and cannot qualify again
-        before the gap is reseeded: in the growth phase hat values of pieces
-        only rise, and carving only lowers the gap's hat value (plain values
-        shrink, and an interval containing a bifurcating one is bifurcating
-        itself).  ``hat_cut`` answers rep's target nu <= reach with hat value
-        nu < 1/2 (nu < t <= 1/2, or nu <= 1 - rho < 1/2), met by exactly the
-        members at rep's hat value, rep first, or with hat value 1, met by
-        every candidate as reach <= 1, and then the candidate of least index
-        wins.  ``nu`` is ``target[rep]``, so the scan builds no Fraction.
+        endpoint r, any id whose mass begins at or beyond it, a key at least
+        ceil(r * scale), cannot name a strictly shorter one, so it is skipped
+        without queries.  With reach = p/q the gap's hat value and step =
+        s/t, an id's candidates are its members whose target is at most
+        reach, (L + 1) * s * q <= p * t: a front run of ``members``.  The id
+        qualifies when ``rep = members[0]``, its first member of least level,
+        does; else it leaves ``g.order`` and cannot qualify again before the
+        gap is reseeded: in the growth phase hat values of pieces only rise,
+        and carving only lowers the gap's hat value (plain values shrink, and
+        an interval containing a bifurcating one is bifurcating itself).
+        ``hat_cut`` answers rep's target nu <= reach with hat value nu < 1/2
+        (nu < t <= 1/2, or nu <= 1 - rho < 1/2), met by exactly the members
+        at rep's level, rep first, or with hat value 1, met by every
+        candidate as reach <= 1, and then the candidate of least index wins.
 
-        The claim is None when no id qualifies.  The lessons are ``(valuation,
-        hat value)`` for every id whose cut answered the winning endpoint, a
-        tie across ids included: the endpoint stays live, so ``award`` teaches
-        the book its mass from each.
+        The claim is None when no id qualifies, and then ``g.order`` is empty
+        and g has left ``live``.  The lessons are ``(valuation, hat value)``
+        for every id whose cut answered the winning endpoint, a tie across
+        ids included: the endpoint stays live, so ``award`` teaches the book
+        its mass from each.
         """
-        target, counter, book = self.target, self.counter, self.book
+        counter, book, targets = self.counter, self.book, self.targets
+        s, t = self.step_n, self.step_d
+        order = g.order
         best: Optional[tuple[Fraction, int, Fraction]] = None
         lessons: list[tuple[Valuation, Fraction]] = []
-        for start, vid in list(g.order):
-            if best is not None and start >= best[0]:
+        stop = self.scale  # no key reaches it: every start lies below g.hi <= 1
+        for key, vid in list(order):
+            if key >= stop:
                 break  # mass starts too far right to beat the current prefix
             v = self.valuations[vid]
             members = self.members[vid]
             if members:  # an id whose agents are all full asks nothing
                 p, q, _ = hat_ratio(v, g.lo, g.hi, counter, book)  # reach = p/q
-                rep = members[0]
-                nu = target[rep]
-            if not members or nu.numerator * q > p * nu.denominator:  # rep is above room
-                g.order.remove((start, vid))
+                level, rep = members[0]
+            if not members or (level + 1) * s * q > p * t:  # rep is above room
+                order.remove((key, vid))
                 continue
+            nu = targets.get(level)
+            if nu is None:
+                nu = targets[level] = Fraction((level + 1) * s, t)
             claim = hat_cut(v, g.lo, nu, counter, book)
-            if claim is None or claim[0] > g.hi:
+            if claim is None or claim[0].numerator * g.hi_d > g.hi_n * claim[0].denominator:
                 point = None if claim is None else claim[0]
                 raise RuntimeError(f"agent {rep + 1}'s hat cut from {g.lo} is {point}, "
                                    f"not a point of the gap {g.interval()}")
             r, at_r = claim
-            if at_r < 1:
+            if at_r.denominator != 1:  # a hat value in (0, 1) names rep
                 winner = rep
             else:
-                # the candidates, target <= reach, are a front run of members
-                winner = min(takewhile(
-                    lambda i: target[i].numerator * q <= p * target[i].denominator, members))
+                top = p * t // (s * q)  # the candidates' levels lie below it
+                winner = min(i for _, i in members[:bisect_left(members, (top,))])
+            rn, rd = r.numerator, r.denominator
             # An agent appears under one id only, so (r, winner) never ties.
-            if best is None or r < best[0]:
-                best, lessons = (r, winner, at_r), [(v, at_r)]
-            elif r == best[0]:
+            if best is None or rn * bd < bn * rd:
+                best, lessons, bn, bd = (r, winner, at_r), [(v, at_r)], rn, rd
+                stop = -(-rn * self.scale // rd)
+            elif rn == bn and rd == bd:
                 lessons.append((v, at_r))
                 if winner < best[1]:
                     best = (r, winner, at_r)
+        if not order:
+            self.live.remove(g)
         return best, lessons
 
     def award(self) -> Optional[int]:
         """One growth iteration; returns the winner, or None if nobody qualifies.
 
         The leftmost gap with a qualifying agent loses its shortest qualifying
-        prefix to that agent, whose previous piece returns to the pool.  The
-        book learns the winning endpoint's mass from the scan's lessons, the
-        cuts that answered it.
+        prefix to that agent, whose previous piece returns to the pool.  Only
+        the ``live`` gaps are scanned, and one that yields no claim has left
+        ``live`` by then.  The book learns the winning endpoint's mass from
+        the scan's lessons, the cuts that answered it.
         """
-        for k, g in enumerate(self.gaps):
-            if g.order and (found := self._best_claim(g))[0] is not None:
+        live = self.live
+        while live:
+            g = live[0]
+            claim, lessons = self._best_claim(g)
+            if claim is not None:
                 break
         else:
             return None  # exact exit condition: no (gap, agent) pair qualifies
-        (r, a, hat), lessons = found
-        own = self.hat_own[a]
-        # hat >= own + step on integers: the check reads hat_own, not the target it guards
-        (c, d), (p, q) = hat.as_integer_ratio(), own.as_integer_ratio()
-        s, t = self.step.as_integer_ratio()
-        if c * q * t < d * (p * t + s * q):
-            raise RuntimeError(f"award raises agent {a + 1}'s hat value from {own} "
-                               f"to {hat}, by less than {self.step}")
+        r, a, hat = claim
+        # the raise is to the target of the winner's level, or to 1: on
+        # integers, and read from level, not from the members entry it guards
+        c, d = hat.numerator, hat.denominator
+        aim = (self.level[a] + 1) * self.step_n * d  # the target times d * step_d
+        if c != d and c * self.step_d != aim:
+            size = "less" if c * self.step_d < aim else "more"
+            raise RuntimeError(f"award raises agent {a + 1}'s hat value from {self.hat_own[a]} "
+                               f"to {hat}, by {size} than {self.step} and not to 1")
         for v, at_r in lessons:
             self.book.learn_cut(v, g.lo, r, at_r)
         released = self.pieces[a]
         self.pieces[a] = Interval(g.lo, r)
         self.set_hat(a, hat)
-        if r < g.hi:
+        if r.numerator * g.hi_d < g.hi_n * r.denominator:
             self._carve(g, r)
         else:
-            self.gaps.pop(k)
+            self.gaps.remove(g)
+            del live[0]
         if released is not None:
             self._release(released.lo, released.hi)
         return a
@@ -388,7 +459,7 @@ def phase_one(instance: Instance, config: SolverConfig,
     if trace is None:
         trace = Trace()
     pool = GapPool(instance, config.delta / instance.n, counter, book)
-    budget = loop_budget(instance.n, config.delta)
+    budget = floor(loop_budget(instance.n, config.delta))
     iterations = 0
     while iterations <= budget and (a := pool.award()) is not None:
         iterations += 1
@@ -437,7 +508,7 @@ def phase_two(pieces: Sequence[Piece], instance: Instance, config: SolverConfig,
     graph = EnvyGraph(pieces, valuations, counter, book)
     book, boxes = graph.book, graph.boxes
     step = config.delta / n
-    budget = loop_budget(n, config.delta)
+    budget = floor(loop_budget(n, config.delta))
     iterations = 0
     while len(gaps) > n and iterations <= budget:
         # More gaps than agents forces a full piece/gap alternation: every

@@ -15,7 +15,7 @@ from cakecut import (EnvyGraph, GeneratorSpec, Instance, QueryCounter, SolverCon
                      ValidationError, Valuation, generate, hat_eval, interval, merge_final,
                      phase_one, phase_two, solve, solve_mult)
 from cakecut.serialize import allocation_to_obj, dumps_canonical
-from cakecut.solver import TRACE_LEVELS, GapPool, _Gap
+from cakecut.solver import AT_LO, TRACE_LEVELS, GapPool, _Gap
 from oracles import CheckingBook, fixed_evals, worst_envy
 from reference_solver import appending_phase, growth_phase
 from strategies import instances, lattice_points
@@ -340,7 +340,14 @@ class TestGapPool:
     def pool(valuations: dict, gaps, step=DELTA) -> GapPool:
         pool = GapPool(Instance(valuations, list(valuations)), step)
         pool.gaps = [pool._seed(_Gap(Fraction(lo), Fraction(hi))) for lo, hi in gaps]
+        pool.live = [g for g in pool.gaps if g.order]
         return pool
+
+    @staticmethod
+    def keyed(pool: GapPool, lo: Fraction, starts) -> list:
+        """``(mass start, id)`` pairs of a gap from ``lo`` as its ``order`` keys them."""
+        return [(AT_LO if Fraction(x) == lo else int(Fraction(x) * pool.scale), vid)
+                for x, vid in starts]
 
     @staticmethod
     def count_peeks(monkeypatch) -> list:
@@ -354,29 +361,31 @@ class TestGapPool:
         return peeks
 
     def test_release_merges_both_neighbours_and_reseeds_a_dropped_group(self):
-        pool = self.pool({"u": self.UNIFORM}, [("0", "1/4"), ("1/2", "3/4")])
+        pool = self.pool({"u": self.UNIFORM}, [("0", "1/4"), ("1/2", "3/4")], Fraction(1, 20))
         pool.set_hat(0, Fraction(1, 4))
         left = pool.gaps[0]
         # [0, 1/4] is worth 1/4 < 1/4 + delta/n to the agent: its id is dropped
         assert pool._best_claim(left)[0] is None and left.order == []
+        assert pool.live == [pool.gaps[1]]
         pool._release(Fraction(1, 4), Fraction(1, 2))
         assert [g.interval() for g in pool.gaps] == [interval(0, "3/4")]
-        assert pool.gaps[0].order == [(Fraction(0), "u")] and pool.members["u"] == [0]
-        # [0, 7/20] leaves 13/20 on its right, so its hat value is its plain value
-        assert pool._best_claim(pool.gaps[0])[0] == (Fraction(7, 20), 0, Fraction(7, 20))
+        assert pool.gaps[0].order == [(AT_LO, "u")] and pool.members["u"] == [(5, 0)]
+        assert pool.live == pool.gaps
+        # [0, 3/10] leaves 7/10 on its right, so its hat value is its plain value
+        assert pool._best_claim(pool.gaps[0])[0] == (Fraction(3, 10), 0, Fraction(3, 10))
 
-    @pytest.mark.parametrize("hats, claim", [
+    @pytest.mark.parametrize("step, hats, claim", [
         # rep, index 1 (least hat, then least index), wins on its plain target 1/5
-        (("1/5", "1/10", "1/10"), ("1/5", 1, "1/5")),
-        # rep's target 1/2 is bifurcating: the first index at most room = 9/10 wins
-        (("9/20", "2/5", "2/5"), ("1/2", 0, "1")),
-        # index 0 is above room, so the hat-1 prefix skips it
-        (("19/20", "2/5", "9/20"), ("1/2", 1, "1")),
-        # index 0 sits exactly at room = 9/10, so it is a candidate and wins
-        (("9/10", "2/5", "2/5"), ("1/2", 0, "1")),
+        ("1/10", ("1/5", "1/10", "1/10"), ("1/5", 1, "1/5")),
+        # rep's target 1/2 is bifurcating: the first index at most room = 1 wins
+        ("1/10", ("1/2", "2/5", "2/5"), ("1/2", 0, "1")),
+        # index 0's target 6/5 is above room, so the hat-1 prefix skips it
+        ("3/10", ("9/10", "3/10", "3/5"), ("1/2", 1, "1")),
+        # index 0's target sits exactly at room = 1, so it is a candidate and wins
+        ("1/10", ("9/10", "2/5", "2/5"), ("1/2", 0, "1")),
     ])
-    def test_the_claim_names_rep_or_the_first_candidate_at_hat_value_one(self, hats, claim):
-        pool = GapPool(Instance({"u": self.UNIFORM}, ["u"] * 3), Fraction(1, 10))
+    def test_the_claim_names_rep_or_the_first_candidate_at_hat_value_one(self, step, hats, claim):
+        pool = GapPool(Instance({"u": self.UNIFORM}, ["u"] * 3), Fraction(step))
         for i, h in enumerate(hats):
             pool.set_hat(i, Fraction(h))
         r, winner, at_r = claim
@@ -393,29 +402,34 @@ class TestGapPool:
         assert pool.award() == 0
         assert pool.book.mass(self.UNIFORM, r) == pool.book.mass(late, r) == (1, 10)
 
-    def test_a_stale_target_raises_at_its_first_award(self, monkeypatch):
+    def test_a_stale_member_raises_at_its_first_award(self, monkeypatch):
         set_hat = GapPool.set_hat
 
         def stale(pool, a, hat):
-            old = pool.target[a]
+            members = pool.members[pool.vids[a]]
+            kept = list(members)
             set_hat(pool, a, hat)
-            pool.target[a] = old
+            if hat < 1:
+                members[:] = kept  # the agent keeps its old (level, index) entry
         monkeypatch.setattr(GapPool, "set_hat", stale)
         with pytest.raises(RuntimeError, match="by less than"):
             phase_one(generate(GeneratorSpec(n=5, seed=3)), SolverConfig(delta=DELTA))
 
-    def test_set_hat_keeps_members_by_hat_then_index_and_caches_targets(self):
+    def test_set_hat_keeps_members_by_level_then_index(self):
         valuations = {"u": self.UNIFORM, "right": Valuation(["0", "1/2", "1"], ["0", "2"])}
         pool = GapPool(Instance(valuations, ["u", "u", "u", "right"]), Fraction(1, 10))
         # index 0 reaches the hat value of index 2 after it: ties go by index
         for a, hat in [(2, "1/5"), (0, "1/5"), (1, "1/10")]:
             pool.set_hat(a, Fraction(hat))
-        assert pool.members["u"] == [1, 0, 2]
-        assert pool.target == [Fraction(3, 10), Fraction(1, 5), Fraction(3, 10), Fraction(1, 10)]
+        assert pool.members["u"] == [(1, 1), (2, 0), (2, 2)]
+        assert pool.level == [2, 1, 2, 0]
+        # a hat value off the step lattice is refused
+        with pytest.raises(ValueError, match="not a multiple"):
+            pool.set_hat(0, Fraction(1, 4))
         # at hat value 1 an agent leaves, and its id leaves starts with its last agent
         pool.set_hat(3, Fraction(1))
         assert pool.members["right"] == [] and [vid for _, vid in pool.starts] == ["u"]
-        assert pool.target[3] == Fraction(11, 10)
+        assert pool.level[3] == 10
 
     def test_carve_keeps_groups_whose_mass_starts_at_or_after_the_cut(self, monkeypatch):
         valuations = {
@@ -430,8 +444,8 @@ class TestGapPool:
         pool._carve(gap, Fraction(1, 2))
         # only the ids whose mass started left of the cut are looked up again
         assert peeks == [Fraction(1, 2)] * 2
-        assert gap.order == [(Fraction(1, 2), "all"), (Fraction(1, 2), "at"),
-                             (Fraction(3, 4), "after")]
+        # "at" starts at the new left end, so it is keyed with the moved "all"
+        assert gap.order == [(AT_LO, "all"), (AT_LO, "at"), (3, "after")] and pool.scale == 4
 
     @pytest.mark.parametrize("valuations, before, after", [
         # "b" and "a" move in that order and both continue at 1/2, where "at"
@@ -452,20 +466,21 @@ class TestGapPool:
     def test_carve_puts_each_moved_id_at_its_sorted_place(self, valuations, before, after):
         pool = self.pool(valuations, [("0", "1")])
         gap = pool.gaps[0]
-        assert gap.order == [(Fraction(x), vid) for x, vid in before]
+        assert gap.order == self.keyed(pool, Fraction(0), before)
         pool._carve(gap, Fraction(1, 2))
-        assert gap.order == sorted((Fraction(x), vid) for x, vid in after)
+        assert gap.order == sorted(self.keyed(pool, Fraction(1, 2), after))
 
     @settings(max_examples=60, deadline=None)
     @given(instances(), st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 80)]))
-    def test_members_and_targets_follow_every_award(self, instance, delta):
+    def test_members_and_levels_follow_every_award(self, instance, delta):
         step = delta / instance.n
         pool = GapPool(instance, step)
         while True:
             for vid in set(pool.vids):
                 below = [i for i, v in enumerate(pool.vids) if v == vid and pool.hat_own[i] < 1]
-                assert pool.members[vid] == sorted(below, key=lambda i: (pool.hat_own[i], i))
-            assert pool.target == [h + step for h in pool.hat_own]
+                assert pool.members[vid] == sorted((pool.level[i], i) for i in below)
+            assert pool.level == [h.numerator * step.denominator
+                                  // (h.denominator * step.numerator) for h in pool.hat_own]
             if pool.award() is None:
                 break
 
@@ -484,16 +499,16 @@ class TestGapPool:
         assert peeks == [Fraction(2, 3)]
         # a gap reaching past the support edge by less than 1/scale meets it
         gap = pool._seed(_Gap(Fraction(0), Fraction(17, 50)))
-        assert gap.order == [(Fraction(0), "u"), (Fraction(1, 3), "mid")]
+        assert gap.order == self.keyed(pool, Fraction(0), [("0", "u"), ("1/3", "mid")])
 
-    @staticmethod
-    def literal_seed(pool: GapPool, lo: Fraction, hi: Fraction) -> list:
+    @classmethod
+    def literal_seed(cls, pool: GapPool, lo: Fraction, hi: Fraction) -> list:
         """The order of [lo, hi] from a next_mass peek for every id with members."""
         order = []
         for vid, agents in pool.members.items():
             start = pool.valuations[vid].next_mass(lo) if agents else None
             if start is not None and start < hi:
-                order.append((start, vid))
+                order += cls.keyed(pool, lo, [(start, vid)])
         return sorted(order)
 
     @settings(max_examples=60, deadline=None)
@@ -507,9 +522,30 @@ class TestGapPool:
             for lo, hi in lattice + [(g.lo, g.hi) for g in pool.gaps]:
                 gap = pool._seed(_Gap(lo, hi))
                 assert gap.order == self.literal_seed(pool, lo, hi)
-            starts = sorted((pool.valuations[vid].support_lo, vid)
+            starts = sorted((pool.valuations[vid].support_lo * pool.scale, vid)
                             for vid, agents in pool.members.items() if agents)
             assert pool.starts == starts
+            if pool.award() is None:
+                break
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(), st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 80)]))
+    def test_the_integer_state_follows_every_award(self, instance, delta):
+        """Levels, members, every gap's keyed order and the live index, after every award."""
+        step = delta / instance.n
+        pool = GapPool(instance, step)
+        while True:
+            assert all(h == 1 or h == level * step for h, level in zip(pool.hat_own, pool.level))
+            for vid, members in pool.members.items():
+                below = [i for i, v in enumerate(pool.vids) if v == vid and pool.hat_own[i] < 1]
+                assert [i for _, i in members] == sorted(below, key=lambda i: (pool.hat_own[i], i))
+            for g in pool.gaps:
+                # an id leaves an order only once it cannot claim: peek the ids kept
+                starts = [(pool.valuations[vid].next_mass(g.lo), vid) for _, vid in g.order]
+                assert all(x is not None and x < g.hi for x, _ in starts)
+                assert g.order == sorted(self.keyed(pool, g.lo, starts))
+            assert all(a.hi <= b.lo for a, b in zip(pool.gaps, pool.gaps[1:]))
+            assert pool.live == [g for g in pool.gaps if g.order]
             if pool.award() is None:
                 break
 
@@ -544,7 +580,8 @@ class TestGapPool:
         assert pool.award() == 0 and pool.hat_own[0] == 1
         assert [vid for _, vid in pool.starts] == ["right"]
         gap = pool._seed(_Gap(Fraction(0), Fraction(1)))
-        assert gap.order == [(Fraction(1, 2), "right")] and pool.members["right"] == [1]
+        assert gap.order == [(1, "right")] and pool.scale == 2
+        assert pool.members["right"] == [(0, 1)]
 
 
 class TestMergeFinal:
@@ -653,6 +690,43 @@ def test_query_counts_and_file_bytes_are_pinned(monkeypatch, n, family, seed, ke
     text = dumps_canonical(allocation_to_obj(pieces, report.params, report))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert len(books) == 1 and books[0].reads > 0
+
+
+# sha256 of ``trace_text`` for the full-level trace of some PINNED_RUNS entries:
+# the first five multiplicative-sample cases and the grouped and blocks runs.
+# The final bytes can survive a change in which agent wins an award; these
+# pin every award, crumb and rotation in order, with the hat values after it.
+TRACE_DIGESTS = {
+    ("random", 2, 1000): "2b12aa40a648a9d381d4b00b104e83be67bbfc64a2b9a630220778099dfd1258",
+    ("identical", 3, 1001): "ad8d5c772cb8d31ab2bbaf989a02ababdafcc2feb7544d0a3c6dfcbac8ad34d9",
+    ("blocks", 4, 1002): "69a5697c6a1b50836f09ae6f31abae3d8ee7982bcf02171e46f6bb4470af7a8e",
+    ("grouped", 5, 1003): "0d7f1ecebeb733b3e35b5c819dc652ae9e8ba6cf99aa321de21e3fab20647941",
+    ("random", 6, 1004): "0ce8e78821b64560c29f95ab3b706562ce22ea0bdcea01acc8216e8217ba0f88",
+    ("grouped", 50, 7): "d9d2fa26d332b0e76a40451a01d635e134d2626553fd123069e4b1fda47859a9",
+    ("blocks", 30, 7): "171660ef94d92610e9a4eaff7099de6c80f353a47cec136a8112b4e18a351d2d",
+}
+TRACED_RUNS = [run for run in PINNED_RUNS if (run[1], run[0], run[2]) in TRACE_DIGESTS]
+
+
+def trace_text(trace: Trace) -> str:
+    """One line per event, then one per snapshot, every number in exact ``str`` form."""
+    lines = [f"{e.phase} {e.kind} {e.agent} {e.piece} {','.join(map(str, e.hat_values))}"
+             for e in trace.events]
+    lines += [f"{s.label} {';'.join(map(str, s.pieces))} {';'.join(map(str, s.gaps))} "
+              f"{','.join(map(str, s.hat_values))}" for s in trace.snapshots]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n, family, seed, key, value, counts, digest", TRACED_RUNS,
+                         ids=[f"{family}-n{n}-seed{seed}" for n, family, seed, *_ in TRACED_RUNS])
+def test_the_award_order_is_pinned(n, family, seed, key, value, counts, digest):
+    instance = generate(GeneratorSpec(n=n, family=family, seed=seed))
+    if key == "c":
+        _, trace, _ = solve_mult(instance, value, trace_level="full")
+    else:
+        _, trace, _ = solve(instance, SolverConfig(delta=value, trace_level="full"))
+    digest = hashlib.sha256(trace_text(trace).encode()).hexdigest()
+    assert digest == TRACE_DIGESTS[family, n, seed]
 
 
 def checking_books(monkeypatch) -> list:
